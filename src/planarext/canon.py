@@ -16,20 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph
-
-
-def _neighbor_lists(n: int, masks: Sequence[int]) -> list[list[int]]:
-    out = []
-    for v in range(n):
-        m = masks[v]
-        row = []
-        while m:
-            b = m & -m
-            row.append(b.bit_length() - 1)
-            m ^= b
-        out.append(row)
-    return out
+from .graphs import Graph, bits
 
 
 def _refine(n: int, neighbors: list[list[int]], colors: list[int]) -> list[int]:
@@ -49,17 +36,17 @@ def _refine(n: int, neighbors: list[list[int]], colors: list[int]) -> list[int]:
 
 def _pack_bits(n: int, masks: Sequence[int], order: list[int]) -> bytes:
     """Upper-triangle bits of the relabeled adjacency matrix, MSB-first."""
-    bits = 0
+    packed = 0
     count = 0
     for j in range(n):
         oj = order[j]
         row = masks[oj]
         for k in range(j + 1, n):
-            bits = (bits << 1) | ((row >> order[k]) & 1)
+            packed = (packed << 1) | ((row >> order[k]) & 1)
             count += 1
     pad = (-count) % 8
-    bits <<= pad
-    return bits.to_bytes((count + pad) // 8, "big")
+    packed <<= pad
+    return packed.to_bytes((count + pad) // 8, "big")
 
 
 def _swap_equivalent(masks: Sequence[int], u: int, v: int) -> bool:
@@ -78,7 +65,7 @@ def canonical_form_masks(
     if base is not None and (len(base) != n or any(not 0 <= c < 256 for c in base)):
         raise ValueError("colors must be one small non-negative int per vertex")
 
-    neighbors = _neighbor_lists(n, masks)
+    neighbors = [bits(masks[v]) for v in range(n)]
     start = list(base) if base is not None else [0] * n
     best: bytes | None = None
 

@@ -117,18 +117,19 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(tuple(sorted(r)) for r in rows))
 
 
+def bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def from_masks(n: int, masks: Sequence[int]) -> Graph:
     """Internal-ish fast path from adjacency bitmasks (assumed symmetric)."""
-    adj = []
-    for v in range(n):
-        m = masks[v]
-        row = []
-        while m:
-            b = m & -m
-            row.append(b.bit_length() - 1)
-            m ^= b
-        adj.append(tuple(row))
-    return Graph(n, tuple(adj))
+    return Graph(n, tuple(tuple(bits(masks[v])) for v in range(n)))
 
 
 def disjoint_union(*graphs: Graph) -> Graph:

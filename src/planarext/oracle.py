@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .bounds import max_edges_planar
@@ -79,36 +80,35 @@ class FalsificationError(RuntimeError):
 _Best = dict[int, tuple[int, bytes, Graph]]  # mu -> (edges, canon, witness)
 
 
-def _offer(best: _Best, g: Graph, form: bytes | None = None) -> None:
+def _offer(best: _Best, g: Graph, form: bytes) -> None:
     mu = matching_number(g)
     if mu < 1:
         return
-    if form is None:
-        form = canonical_form(g)
     cur = best.get(mu)
     if cur is None or g.m > cur[0] or (g.m == cur[0] and form < cur[1]):
         best[mu] = (g.m, form, g)
 
 
-def _subtree_worker(args: tuple[tuple[int, ...], int, int]) -> dict[str, list]:
+def _subtree_worker(
+    args: tuple[tuple[int, ...], bytes, int, int]
+) -> dict[str, list]:
     """Best per-mu results over one generation subtree (root included)."""
-    root, n_max, deg_max = args
+    root, root_form, n_max, deg_max = args
     best: _Best = {}
-    stack: list[tuple[int, ...]] = [root]
+    stack = [(root, root_form)]
     while stack:
-        masks = stack.pop()
+        masks, form = stack.pop()
         n = len(masks)
-        _offer(best, from_masks(n, masks))
+        _offer(best, from_masks(n, masks), form)
         if n < n_max:
-            for child, _form in _children(n, masks, deg_max, True):
-                stack.append(child)
+            stack.extend(_children(n, masks, deg_max, True))
     return {str(mu): [e, graph6_encode(g)] for mu, (e, _f, g) in best.items()}
 
 
 def _merge_sidecar(best: _Best, payload: dict[str, list]) -> None:
     for mu_text, (edges, g6) in payload.items():
         g = graph6_decode(g6)
-        _offer(best, g)
+        _offer(best, g, canonical_form(g))
         assert best[int(mu_text)][0] >= edges
 
 
@@ -144,7 +144,7 @@ def _save_checkpoint(
     os.replace(tmp, path + ".results.json")
 
 
-_TABLE_CACHE: dict[tuple[int, int], list[ComponentRecord]] = {}
+_TABLE_CACHE: dict[tuple[int, int], tuple[ComponentRecord, ...]] = {}
 
 
 def component_table(
@@ -159,9 +159,13 @@ def component_table(
     """
     if d < 2:
         raise ValueError("d must be at least 2")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     key = (d, n_max)
     if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
+        return list(_TABLE_CACHE[key])
     deg_max = d - 1
     best: _Best = {}
     shard_order = min(_SHARD_ORDER, n_max)
@@ -174,29 +178,28 @@ def component_table(
                 _offer(best, from_masks(len(masks), masks), form)
     if roots:
         done = _load_checkpoint(checkpoint, d, n_max) if checkpoint else {}
-        pending = [
-            (masks, form.hex())
+        jobs = [
+            (masks, form, n_max, deg_max)
             for masks, form in roots
             if form.hex() not in done
         ]
-        jobs = [(masks, n_max, deg_max) for masks, _ in pending]
+        pool = nullcontext()
         if workers > 1 and len(jobs) > 1:
+            # imported here so that importing the package stays cheap
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for (_masks, hex_form), result in zip(pending, pool.map(_subtree_worker, jobs)):
-                    done[hex_form] = result
-                    if checkpoint:
-                        _save_checkpoint(checkpoint, d, n_max, done)
-        else:
-            for (_masks, hex_form), job in zip(pending, jobs):
-                done[hex_form] = _subtree_worker(job)
+            pool = ProcessPoolExecutor(max_workers=workers)
+        with pool as executor:
+            run = executor.map if executor else map
+            for (_root, form, *_), result in zip(jobs, run(_subtree_worker, jobs)):
+                done[form.hex()] = result
                 if checkpoint:
                     _save_checkpoint(checkpoint, d, n_max, done)
         for payload in done.values():
             _merge_sidecar(best, payload)
     if d > n_max:
-        _offer(best, star(d - 1))
+        g = star(d - 1)
+        _offer(best, g, canonical_form(g))
     records = []
     for mu in sorted(best):
         edges, _form, witness = best[mu]
@@ -213,7 +216,7 @@ def component_table(
                 exhaustive=2 * mu + 1 <= n_max,
             )
         )
-    _TABLE_CACHE[key] = records
+    _TABLE_CACHE[key] = tuple(records)
     return records
 
 

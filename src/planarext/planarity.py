@@ -14,9 +14,10 @@ vertices are planar by definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .canon import canonical_form
-from .graphs import Graph, build_graph, connected_components
+from .graphs import Graph, bits, build_graph, connected_components
 
 
 @dataclass(frozen=True)
@@ -316,14 +317,17 @@ class _LRTest:
         return tuple(tuple(row) for row in rotation)
 
 
-def _decide(n: int, adj) -> bool:
-    """Planarity verdict only, no certificates."""
+def _decide(n: int, masks: Sequence[int]) -> bool:
+    """Planarity verdict only, no certificates, from adjacency bitmasks.
+
+    masks[v] has bit w set iff v~w; only the first n entries are read.
+    """
     if n <= 2:
         return True
-    m = sum(len(row) for row in adj) // 2
+    m = sum(masks[v].bit_count() for v in range(n)) // 2
     if m > 3 * n - 6:
         return False
-    lr = _LRTest(n, adj)
+    lr = _LRTest(n, [bits(masks[v]) for v in range(n)])
     lr.orient()
     return lr.test()
 
@@ -335,20 +339,17 @@ def _minimize_witness(g: Graph) -> tuple[tuple[int, int], ...]:
     stays true as further edges are removed (subgraphs of planar graphs
     are planar), so every kept edge remains critical.
     """
-    current = set(g.edges())
-
-    def still_nonplanar(edges) -> bool:
-        adj: list[list[int]] = [[] for _ in range(g.n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return not _decide(g.n, [sorted(row) for row in adj])
-
-    for e in sorted(current):
-        trial = current - {e}
-        if still_nonplanar(trial):
-            current = trial
-    return tuple(sorted(current))
+    masks = list(g.masks)
+    kept = []
+    for u, v in g.edges():
+        masks[u] ^= 1 << v
+        masks[v] ^= 1 << u
+        if _decide(g.n, masks):
+            # this edge is critical: put it back for good
+            masks[u] ^= 1 << v
+            masks[v] ^= 1 << u
+            kept.append((u, v))
+    return tuple(kept)
 
 
 def classify_kuratowski(n: int, witness: tuple[tuple[int, int], ...]) -> str:
@@ -457,6 +458,5 @@ def is_outerplanar(g: Graph) -> bool:
 
     Equivalent formulation used here: g plus a universal apex is planar.
     """
-    adj = [list(row) + [g.n] for row in g.adj]
-    adj.append(list(range(g.n)))
-    return _decide(g.n + 1, [tuple(sorted(row)) for row in adj])
+    apex = 1 << g.n
+    return _decide(g.n + 1, [m | apex for m in g.masks] + [apex - 1])

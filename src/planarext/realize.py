@@ -73,19 +73,6 @@ def _group_selections(groups: list[list[int]], need: int) -> list[list[int]]:
     return out
 
 
-def _adj_lists(n: int, masks: list[int]) -> list[list[int]]:
-    adj: list[list[int]] = []
-    for v in range(n):
-        m = masks[v]
-        row = []
-        while m:
-            b = m & -m
-            row.append(b.bit_length() - 1)
-            m ^= b
-        adj.append(row)
-    return adj
-
-
 def realize_degree_sequence_planar(
     seq: DegreeSequence, budget: float | None = 30.0
 ) -> RealizeResult:
@@ -133,7 +120,7 @@ def realize_degree_sequence_planar(
                 masks[u] |= 1 << pivot
                 rem[u] -= 1
             rem[pivot] = 0
-            if _residual_feasible(rem) and _decide(n, _adj_lists(n, masks)):
+            if _residual_feasible(rem) and _decide(n, masks):
                 result = search()
                 if result is not None:
                     return result

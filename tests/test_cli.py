@@ -145,6 +145,15 @@ def test_usage_errors_exit_one(capsys):
     assert main(["check", "notgraph6!!", "--d", "5", "--nu", "3"]) == 1
     assert main(["realize", "4^x"]) == 1
     capsys.readouterr()
+    for argv in (
+        ["verify", "--d", "6", "--nu", "3", "--n-max", "0"],
+        ["table", "--d", "4", "--n-max", "-3"],
+        ["verify", "--d", "3", "--nu", "6", "--n-max", "5", "--workers", "0"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("planarext: error: ") and err.count("\n") == 1
 
 
 def test_entry_point_help(capsys):

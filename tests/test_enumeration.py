@@ -59,6 +59,11 @@ def test_spec_counts():
     assert dict(by_n) == {1: 1, 2: 1, 3: 2, 4: 6, 5: 20, 6: 99, 7: 646}
 
 
+def test_max_degree_five_planar_census():
+    by_n = Counter(g.n for g in enumerate_connected(8, 5, planar_only=True))
+    assert dict(by_n) == {1: 1, 2: 1, 3: 2, 4: 6, 5: 20, 6: 99, 7: 566, 8: 4323}
+
+
 def test_degree_cap_one():
     got = list(enumerate_connected(3, 1, planar_only=False))
     # the single vertex and the single edge are the only degree-capped

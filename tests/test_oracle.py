@@ -191,3 +191,47 @@ def test_checkpoint_parameter_mismatch(tmp_path):
 def test_rejects_degenerate_d():
     with pytest.raises(ValueError):
         component_table(1, 5)
+
+
+def test_rejects_nonsensical_sizes():
+    for n_max, workers in ((0, 1), (-3, 1), (5, 0), (5, -2)):
+        with pytest.raises(ValueError):
+            component_table(4, n_max, workers=workers)
+    with pytest.raises(ValueError):
+        verify_theorem(6, 3, 0)
+
+
+def test_table_cache_survives_caller_mutation():
+    first = component_table(4, 5)
+    expected = list(first)
+    verdict = verify_theorem(4, 3, 5)
+    assert expected and verdict.oracle_value > 0
+    first.clear()
+    assert component_table(4, 5) == expected
+    assert verify_theorem(4, 3, 5) == verdict
+
+
+def test_checkpoint_done_line_without_sidecar_result_is_recomputed(tmp_path):
+    # the done-list is renamed into place before the sidecar, so a crash
+    # between the two leaves a done-line whose results are missing
+    path = tmp_path / "check.txt"
+    sidecar = tmp_path / "check.txt.results.json"
+    serial = component_table(4, 7)
+    from planarext import oracle as oracle_module
+
+    oracle_module._TABLE_CACHE.pop((4, 7), None)
+    component_table(4, 7, checkpoint=str(path))
+    lines = path.read_text().splitlines()
+    data = json.loads(sidecar.read_text())
+    dropped = lines[0]
+    del data["roots"][dropped]
+    sidecar.write_text(json.dumps(data))
+
+    oracle_module._TABLE_CACHE.pop((4, 7), None)
+    resumed = component_table(4, 7, checkpoint=str(path))
+    assert [
+        (r.mu, r.best_edges, canonical_form(r.witness)) for r in resumed
+    ] == [(r.mu, r.best_edges, canonical_form(r.witness)) for r in serial]
+    assert path.read_text().splitlines() == lines
+    assert dropped in json.loads(sidecar.read_text())["roots"]
+    oracle_module._TABLE_CACHE[(4, 7)] = tuple(serial)

@@ -23,9 +23,10 @@ def _refine(n: int, neighbors: list[list[int]], colors: list[int]) -> list[int]:
     """Equitable refinement; returns a normalized stable coloring."""
     ncolors = len(set(colors))
     while True:
+        color_of = colors.__getitem__
         sigs = [
-            (colors[v], tuple(sorted(colors[w] for w in neighbors[v])))
-            for v in range(n)
+            (c, tuple(sorted(map(color_of, nbrs))))
+            for c, nbrs in zip(colors, neighbors)
         ]
         remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [remap[s] for s in sigs]
@@ -72,23 +73,22 @@ def canonical_form_masks(
     def search(colors: list[int]) -> None:
         nonlocal best
         colors = _refine(n, neighbors, colors)
-        # locate the smallest-numbered non-singleton cell
-        counts: dict[int, int] = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        target = -1
-        for c in sorted(counts):
-            if counts[c] > 1:
-                target = c
-                break
-        if target == -1:
-            order = sorted(range(n), key=colors.__getitem__)
+        # refined colors are the ranks 0..k-1, so k == n means discrete
+        if max(colors) == n - 1:
+            order = [0] * n
+            for v, c in enumerate(colors):
+                order[c] = v
             cand = _pack_bits(n, masks, order)
             if base is not None:
                 cand = bytes(base[v] for v in order) + cand
             if best is None or cand < best:
                 best = cand
             return
+        # individualize in the smallest-numbered non-singleton cell
+        counts = [0] * n
+        for c in colors:
+            counts[c] += 1
+        target = next(c for c, k in enumerate(counts) if k > 1)
         cell = [v for v in range(n) if colors[v] == target]
         tried: list[int] = []
         for v in cell:

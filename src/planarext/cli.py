@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (including a confirmed or realizable-only
 verdict), 2 when verification disproves the closed form (the oracle
-built a better graph than the bound allows), 1 on usage or input errors.
+built a better graph than the bound allows), 1 on usage or input errors
+and on requests beyond the enumeration budget.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Sequence
 from .bounds import max_edges_general, max_edges_outerplanar, max_edges_planar
 from .coloring import vizing_color
 from .constructions import extremal_general, pivotal_planar
+from .enumeration import BudgetExceededError
 from .oracle import FalsificationError, component_table, verify_theorem
 from .realize import realize_degree_sequence_planar
 from .serialize import certificate, dot_export, graph6_decode, graph6_encode
@@ -198,7 +200,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FalsificationError as exc:
         print(f"planarext: FALSIFIED: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BudgetExceededError) as exc:
         print(f"planarext: error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ from typing import Iterator
 
 from itertools import combinations
 
-from .canon import canonical_form_masks
+from .canon import _swap_equivalent, canonical_form_masks
 from .graphs import Graph, bits, from_masks
 from .planarity import _decide
 
@@ -27,77 +27,88 @@ class BudgetExceededError(RuntimeError):
     """Raised when an enumeration request exceeds the desk-scale budget."""
 
 
-def _non_cut_vertices(n: int, masks: tuple[int, ...]) -> list[int]:
-    """Vertices that are not articulation points (graph assumed connected)."""
-    if n <= 2:
-        return list(range(n))
-    adj = [bits(masks[v]) for v in range(n)]
-    disc = [-1] * n
-    low = [0] * n
-    is_art = [False] * n
-    counter = 0
-    root_children = 0
-    stack: list[tuple[int, int, int]] = [(0, -1, 0)]
-    disc[0] = low[0] = counter
-    counter += 1
-    while stack:
-        v, parent, i = stack[-1]
-        if i < len(adj[v]):
-            stack[-1] = (v, parent, i + 1)
-            w = adj[v][i]
-            if w == parent:
-                continue
-            if disc[w] == -1:
-                if v == 0:
-                    root_children += 1
-                disc[w] = low[w] = counter
-                counter += 1
-                stack.append((w, v, 0))
-            else:
-                low[v] = min(low[v], disc[w])
-        else:
-            stack.pop()
-            if parent != -1:
-                low[parent] = min(low[parent], low[v])
-                if parent != 0 and low[v] >= disc[parent]:
-                    is_art[parent] = True
-    is_art[0] = root_children >= 2
-    return [v for v in range(n) if not is_art[v]]
+def _check_budget(n_max: int) -> None:
+    if n_max > _BUDGET_N_MAX:
+        raise BudgetExceededError(
+            f"enumeration budget is {_BUDGET_N_MAX} vertices, got {n_max}"
+        )
 
 
-def _degree_invariant(n: int, masks: tuple[int, ...], degs: list[int]):
-    return [
-        (degs[v], tuple(sorted(degs[w] for w in bits(masks[v]))))
-        for v in range(n)
-    ]
+def _is_cut_vertex(n: int, masks: tuple[int, ...], v: int) -> bool:
+    """True iff deleting v disconnects the (connected) graph.
+
+    Floods G - v from one neighbour of v. A shortest path in G from any
+    other vertex to v enters v from a neighbour, so G - v is connected
+    iff the flood reaches every neighbour of v.
+    """
+    nbrs = masks[v]
+    keep = ((1 << n) - 1) ^ (1 << v)
+    seen = frontier = nbrs & -nbrs
+    while frontier:
+        if seen & nbrs == nbrs:
+            return False
+        grown = 0
+        for u in bits(frontier):
+            grown |= masks[u]
+        frontier = grown & keep & ~seen
+        seen |= frontier
+    return True
+
+
+def _marked(n: int, v: int) -> list[int]:
+    colors = [0] * n
+    colors[v] = 1
+    return colors
 
 
 def _accepts_new_vertex(n: int, masks: tuple[int, ...]) -> bool:
     """True iff the last vertex is a designated deletion point of the graph.
 
     The designated deletion is any non-cut vertex maximising first the
-    degree invariant and then the vertex-marked canonical form; all of
-    them lie in one orbit, so deleting any of them gives the same parent
-    up to isomorphism.
+    invariant (degree, sorted neighbour degrees) and then the
+    vertex-marked canonical form; all of them lie in one orbit, so
+    deleting any of them gives the same parent up to isomorphism.
+
+    The last vertex z is never a cut vertex (its deletion leaves the
+    connected parent), and the rule is decided lazily: a vertex of lower
+    degree cannot beat z, neighbour degrees are sorted only on a degree
+    tie, the cut test runs only on a vertex that would beat or tie z, and
+    a tied vertex whose transposition with an already compared one is an
+    automorphism has that vertex's marked form.
     """
     z = n - 1
     degs = [masks[v].bit_count() for v in range(n)]
-    inv = _degree_invariant(n, masks, degs)
-    non_cut = _non_cut_vertices(n, masks)
-    assert z in non_cut
-    best = max(inv[v] for v in non_cut)
-    if inv[z] < best:
-        return False
-    candidates = [v for v in non_cut if inv[v] == best]
-    if candidates == [z]:
-        return True
-    marked = {
-        v: canonical_form_masks(
-            n, masks, [1 if u == v else 0 for u in range(n)]
-        )
-        for v in candidates
-    }
-    return marked[z] == max(marked.values())
+    dz = degs[z]
+    ties: list[int] = []
+    nz: list[int] | None = None
+    for v in range(z):
+        dv = degs[v]
+        if dv < dz:
+            continue
+        if dv > dz:
+            if not _is_cut_vertex(n, masks, v):
+                return False
+            continue
+        if nz is None:
+            nz = sorted([degs[w] for w in bits(masks[z])])
+        nv = sorted([degs[w] for w in bits(masks[v])])
+        # a leaf is never a cut vertex
+        if nv < nz or (dv > 1 and _is_cut_vertex(n, masks, v)):
+            continue
+        if nv > nz:
+            return False
+        ties.append(v)
+    compared = [z]
+    form_z = None
+    for v in ties:
+        if any(_swap_equivalent(masks, v, u) for u in compared):
+            continue
+        if form_z is None:
+            form_z = canonical_form_masks(n, masks, _marked(n, z))
+        if canonical_form_masks(n, masks, _marked(n, v)) > form_z:
+            return False
+        compared.append(v)
+    return True
 
 
 def _children(
@@ -157,10 +168,7 @@ def enumerate_connected(
         raise ValueError("deg_max must be at least 1")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if n_max > _BUDGET_N_MAX:
-        raise BudgetExceededError(
-            f"enumeration budget is {_BUDGET_N_MAX} vertices, got {n_max}"
-        )
+    _check_budget(n_max)
     for level in _levels(n_max, deg_max, planar_only):
         for masks, _form in level:
             yield from_masks(len(masks), masks)

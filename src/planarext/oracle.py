@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .bounds import max_edges_planar
 from .canon import canonical_form
 from .constructions import star
-from .enumeration import _children, _levels
+from .enumeration import _check_budget, _children, _levels
 from .graphs import Graph, degree_stats, from_masks, is_connected
 from .matching import matching_number
 from .planarity import is_planar
@@ -156,6 +156,8 @@ def component_table(
     candidate component order for that matching number was enumerated.
     The (d-1)-star record is injected analytically when its d vertices
     exceed n_max, so star-built families stay verifiable at small n_max.
+    An n_max beyond the enumeration budget raises BudgetExceededError
+    before any work starts.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -163,6 +165,7 @@ def component_table(
         raise ValueError("n_max must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    _check_budget(n_max)
     key = (d, n_max)
     if key in _TABLE_CACHE:
         return list(_TABLE_CACHE[key])

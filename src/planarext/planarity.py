@@ -321,11 +321,16 @@ def _decide(n: int, masks: Sequence[int]) -> bool:
     """Planarity verdict only, no certificates, from adjacency bitmasks.
 
     masks[v] has bit w set iff v~w; only the first n entries are read.
+    A subdivision of K3,3 needs 6 branch vertices of degree >= 3 and one
+    of K5 needs 5 of degree >= 4, so with fewer of either the graph is
+    planar by Kuratowski's theorem and the LR test is skipped.
     """
     if n <= 2:
         return True
-    m = sum(masks[v].bit_count() for v in range(n)) // 2
-    if m > 3 * n - 6:
+    degs = [masks[v].bit_count() for v in range(n)]
+    if sum(d >= 3 for d in degs) < 6 and sum(d >= 4 for d in degs) < 5:
+        return True
+    if sum(degs) // 2 > 3 * n - 6:
         return False
     lr = _LRTest(n, [bits(masks[v]) for v in range(n)])
     lr.orient()

@@ -4,7 +4,11 @@ Nothing here reuses the package's algorithms: matchings are maximized by
 bare edge-subset recursion, planarity is decided by exhaustive search
 for a forbidden subdivision (complete for n <= 7, where a subdivision
 can use at most two extra vertices), and isomorphism is settled by
-minimizing over all vertex permutations.
+minimizing over all vertex permutations. The one exception is the
+reference designated-vertex rule of canonical augmentation, which keeps
+the package's marked canonical forms (tested on their own) but decides
+everything else the plain way: a full articulation pass, the degree
+invariant of every vertex and the maximum over all tied marked forms.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import math
 from itertools import combinations, permutations
 
 from planarext import Graph
+from planarext.canon import canonical_form_masks
+from planarext.graphs import bits
 
 
 def brute_matching_number(g: Graph) -> int:
@@ -157,3 +163,74 @@ def pair_group_class_count(n: int) -> int:
                 cur = index[tuple(sorted((perm[u], perm[v])))]
         total += 1 << orbits
     return total // math.factorial(n)
+
+
+def _non_cut_vertices(n: int, masks: tuple[int, ...]) -> list[int]:
+    """Vertices that are not articulation points (graph assumed connected)."""
+    if n <= 2:
+        return list(range(n))
+    adj = [bits(masks[v]) for v in range(n)]
+    disc = [-1] * n
+    low = [0] * n
+    is_art = [False] * n
+    counter = 0
+    root_children = 0
+    stack: list[tuple[int, int, int]] = [(0, -1, 0)]
+    disc[0] = low[0] = counter
+    counter += 1
+    while stack:
+        v, parent, i = stack[-1]
+        if i < len(adj[v]):
+            stack[-1] = (v, parent, i + 1)
+            w = adj[v][i]
+            if w == parent:
+                continue
+            if disc[w] == -1:
+                if v == 0:
+                    root_children += 1
+                disc[w] = low[w] = counter
+                counter += 1
+                stack.append((w, v, 0))
+            else:
+                low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if parent != -1:
+                low[parent] = min(low[parent], low[v])
+                if parent != 0 and low[v] >= disc[parent]:
+                    is_art[parent] = True
+    is_art[0] = root_children >= 2
+    return [v for v in range(n) if not is_art[v]]
+
+
+def _degree_invariant(n: int, masks: tuple[int, ...], degs: list[int]):
+    return [
+        (degs[v], tuple(sorted(degs[w] for w in bits(masks[v]))))
+        for v in range(n)
+    ]
+
+
+def reference_accepts_new_vertex(n: int, masks: tuple[int, ...]) -> bool:
+    """True iff the last vertex is a designated deletion point of the graph.
+
+    The designated deletion is any non-cut vertex maximising first the
+    degree invariant and then the vertex-marked canonical form.
+    """
+    z = n - 1
+    degs = [masks[v].bit_count() for v in range(n)]
+    inv = _degree_invariant(n, masks, degs)
+    non_cut = _non_cut_vertices(n, masks)
+    assert z in non_cut
+    best = max(inv[v] for v in non_cut)
+    if inv[z] < best:
+        return False
+    candidates = [v for v in non_cut if inv[v] == best]
+    if candidates == [z]:
+        return True
+    marked = {
+        v: canonical_form_masks(
+            n, masks, [1 if u == v else 0 for u in range(n)]
+        )
+        for v in candidates
+    }
+    return marked[z] == max(marked.values())

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
-from planarext import build_graph, canonical_form, complete, star
+from planarext import build_graph, canonical_form, complete, enumerate_connected, star
+from planarext.canon import canonical_form_masks
 from planarext.graphs import from_masks
 
 from oracles import all_labeled_graphs, min_perm_form, pair_group_class_count
@@ -91,3 +93,21 @@ def test_vertex_colors_split_classes():
     end_marked = canonical_form(path, colors=[1, 0, 0])
     mid_marked = canonical_form(path, colors=[0, 1, 0])
     assert end_marked != mid_marked
+
+
+def test_canonical_forms_pinned():
+    # Sort order, witness tie-breaks and checkpoint keys all depend on the
+    # exact bytes, so any change to them must be deliberate.
+    digest = hashlib.sha256()
+    count = 0
+    for g in enumerate_connected(7, 5, planar_only=True):
+        digest.update(canonical_form_masks(g.n, g.masks))
+        count += 1
+        if g.n == 6:
+            for v in range(g.n):
+                marked = [1 if u == v else 0 for u in range(g.n)]
+                digest.update(canonical_form_masks(g.n, g.masks, marked))
+    assert count == 695
+    assert digest.hexdigest() == (
+        "0dfb02a92c3e255391395063a7bdb855f79ea7321c8a21b099302a56430d5c4d"
+    )

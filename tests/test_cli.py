@@ -149,6 +149,8 @@ def test_usage_errors_exit_one(capsys):
         ["verify", "--d", "6", "--nu", "3", "--n-max", "0"],
         ["table", "--d", "4", "--n-max", "-3"],
         ["verify", "--d", "3", "--nu", "6", "--n-max", "5", "--workers", "0"],
+        ["table", "--d", "6", "--n-max", "11"],
+        ["verify", "--d", "6", "--nu", "4", "--n-max", "11", "--workers", "2"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv

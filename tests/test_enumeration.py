@@ -14,9 +14,15 @@ from planarext import (
     is_connected,
     is_planar,
 )
+from planarext import enumeration
 from planarext.graphs import from_masks
 
-from oracles import all_labeled_graphs, brute_is_planar, mask_connected
+from oracles import (
+    all_labeled_graphs,
+    brute_is_planar,
+    mask_connected,
+    reference_accepts_new_vertex,
+)
 
 
 def _brute_classes(n_max: int, deg_max: int, planar_only: bool) -> set[bytes]:
@@ -59,9 +65,59 @@ def test_spec_counts():
     assert dict(by_n) == {1: 1, 2: 1, 3: 2, 4: 6, 5: 20, 6: 99, 7: 646}
 
 
-def test_max_degree_five_planar_census():
+def test_max_degree_five_planar_census(monkeypatch):
+    # the per-order funnel at n = 8: candidates offered to the acceptance
+    # test, accepted, decided for planarity (distinct), planar
+    funnel = Counter()
+    accepts = enumeration._accepts_new_vertex
+    decide = enumeration._decide
+
+    def counted_accepts(n, masks):
+        result = accepts(n, masks)
+        if n == 8:
+            funnel["candidates"] += 1
+            funnel["accepted"] += result
+        return result
+
+    def counted_decide(n, masks):
+        result = decide(n, masks)
+        if n == 8:
+            funnel["decided"] += 1
+            funnel["planar"] += result
+        return result
+
+    monkeypatch.setattr(enumeration, "_accepts_new_vertex", counted_accepts)
+    monkeypatch.setattr(enumeration, "_decide", counted_decide)
     by_n = Counter(g.n for g in enumerate_connected(8, 5, planar_only=True))
     assert dict(by_n) == {1: 1, 2: 1, 3: 2, 4: 6, 5: 20, 6: 99, 7: 566, 8: 4323}
+    assert funnel == {
+        "candidates": 50957,
+        "accepted": 9251,
+        "decided": 6125,
+        "planar": 4323,
+    }
+
+
+@pytest.mark.parametrize(
+    "n_max,deg_max,planar_only", [(7, 5, True), (8, 3, True), (7, 6, False)]
+)
+def test_acceptance_matches_reference_rule(monkeypatch, n_max, deg_max, planar_only):
+    accepts = enumeration._accepts_new_vertex
+    calls = Counter()
+    mismatches = []
+
+    def checked_accepts(n, masks):
+        result = accepts(n, masks)
+        calls[n] += 1
+        if result != reference_accepts_new_vertex(n, masks):
+            mismatches.append(masks)
+        return result
+
+    monkeypatch.setattr(enumeration, "_accepts_new_vertex", checked_accepts)
+    for _ in enumerate_connected(n_max, deg_max, planar_only):
+        pass
+    assert calls[n_max] > 0
+    assert mismatches == []
 
 
 def test_degree_cap_one():

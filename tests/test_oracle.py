@@ -5,6 +5,7 @@ import json
 import pytest
 
 from planarext import (
+    BudgetExceededError,
     ComponentRecord,
     FalsificationError,
     atlas,
@@ -20,6 +21,7 @@ from planarext import (
     star,
     verify_theorem,
 )
+from planarext import oracle
 from planarext.oracle import _component_cap
 
 
@@ -199,6 +201,20 @@ def test_rejects_nonsensical_sizes():
             component_table(4, n_max, workers=workers)
     with pytest.raises(ValueError):
         verify_theorem(6, 3, 0)
+
+
+def test_table_over_budget_fails_before_any_work(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(oracle, "_levels", no_enumeration)
+    for call in (
+        lambda: component_table(6, 11),
+        lambda: component_table(6, 11, workers=2),
+        lambda: verify_theorem(6, 4, 11),
+    ):
+        with pytest.raises(BudgetExceededError, match="budget is 10 vertices, got 11"):
+            call()
 
 
 def test_table_cache_survives_caller_mutation():

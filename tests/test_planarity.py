@@ -19,7 +19,8 @@ from planarext import (
     pivotal_planar,
     star,
 )
-from planarext.graphs import from_masks
+from planarext.graphs import disjoint_union, from_masks
+from planarext.planarity import _decide
 
 from oracles import all_labeled_graphs, brute_is_planar
 
@@ -30,6 +31,7 @@ def test_exhaustive_agreement_n5():
         g = from_masks(5, masks)
         result = is_planar(g)
         assert result.verdict == brute_is_planar(g)
+        assert _decide(5, masks) == result.verdict
         if result.verdict:
             planar_forms.add(canonical_form(g))
         else:
@@ -43,6 +45,7 @@ def test_exhaustive_agreement_n6():
         g = from_masks(6, masks)
         result = is_planar(g)
         assert result.verdict == brute_is_planar(g)
+        assert _decide(6, masks) == result.verdict
         if result.verdict:
             planar_forms.add(canonical_form(g))
     assert len(planar_forms) == 142
@@ -59,6 +62,32 @@ def test_random_agreement_n7():
                     masks[v] |= 1 << u
         g = from_masks(7, tuple(masks))
         assert is_planar(g).verdict == brute_is_planar(g)
+        assert _decide(7, masks) == brute_is_planar(g)
+
+
+def test_decide_on_disconnected_and_subdivided_input():
+    # the sparse non-planar cases (K3,3 plus isolated vertices) pass a
+    # cycle-rank shortcut such as m <= n + 2, so one would fail here
+    k33 = build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    k5_path = build_graph(8, complete(5).edges() + ((4, 5), (5, 6), (6, 7)))
+    k33_subdivided = build_graph(
+        7, [e for e in k33.edges() if e != (0, 3)] + [(0, 6), (6, 3)]
+    )
+    k33_minus = build_graph(6, k33.edges()[1:])
+    cases = [
+        (disjoint_union(k33, build_graph(2, [])), False),
+        (disjoint_union(build_graph(1, []), k33), False),
+        (disjoint_union(complete(5), build_graph(3, [])), False),
+        (k5_path, False),
+        (k33_subdivided, False),
+        (disjoint_union(k33_minus, build_graph(2, [])), True),
+        (disjoint_union(atlas("K5_MINUS"), complete(4)), True),
+    ]
+    for g, planar in cases:
+        assert _decide(g.n, g.masks) == planar, g
+        assert is_planar(g).verdict == planar, g
+    for n in range(5):
+        assert all(_decide(n, masks) for masks in all_labeled_graphs(n))
 
 
 def test_kuratowski_witnesses_classified():

@@ -163,8 +163,10 @@ def atlas(name: AtlasName | str) -> Graph:
         g = _build_atlas(name)
         n, m, maxdeg, nu = _ATLAS_STATS[name]
         got = (g.n, g.m, degree_stats(g)[0], matching_number(g))
-        assert got == (n, m, maxdeg, nu), f"{name.value}: {got} != {(n, m, maxdeg, nu)}"
-        assert is_planar(g).verdict, f"{name.value}: transcription is non-planar"
+        if got != (n, m, maxdeg, nu):
+            raise AssertionError(f"{name.value}: {got} != {(n, m, maxdeg, nu)}")
+        if not is_planar(g).verdict:
+            raise AssertionError(f"{name.value}: transcription is non-planar")
         _ATLAS_CACHE[name] = g
     return _ATLAS_CACHE[name]
 
@@ -210,7 +212,8 @@ def pivotal_planar(params: ClassParams | int, nu: int | None = None) -> Graph:
     else:
         comps = [star(d - 1)] * k
     g = disjoint_union(*comps)
-    assert g.m == max_edges_planar(d, nu)
+    if g.m != max_edges_planar(d, nu):
+        raise AssertionError(f"pivotal_planar({d}, {nu}) has {g.m} edges, not the bound")
     return g
 
 
@@ -228,5 +231,6 @@ def extremal_general(params: ClassParams | int, nu: int | None = None) -> Graph:
     q, r = divmod(k, c)
     big = k_prime(d) if d % 2 == 0 else complete(d)
     g = disjoint_union(*([big] * q + [star(d - 1)] * r))
-    assert g.m == max_edges_general(d, nu)
+    if g.m != max_edges_general(d, nu):
+        raise AssertionError(f"extremal_general({d}, {nu}) has {g.m} edges, not the bound")
     return g

@@ -193,10 +193,26 @@ def connected_components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     return out
 
 
+def component_counts(g: Graph) -> tuple[int, int]:
+    """(number of components, number of edgeless ones), by a bitmask flood."""
+    masks = g.masks
+    unseen = (1 << g.n) - 1
+    components = 0
+    while unseen:
+        reach = frontier = unseen & -unseen
+        while frontier:
+            grown = 0
+            for v in bits(frontier):
+                grown |= masks[v]
+            frontier = grown & ~reach
+            reach |= grown
+        unseen &= ~reach
+        components += 1
+    return components, masks.count(0)
+
+
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return len(connected_components(g)) == 1
+    return g.n <= 1 or component_counts(g)[0] == 1
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:

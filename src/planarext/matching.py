@@ -51,36 +51,36 @@ def _mate_array(g: Graph) -> list[int]:
                     match[w] = v
                     break
 
-    base = [0] * n
+    # search state, kept between searches: each search records the vertices
+    # it touches and resets only those, and untouched vertices have
+    # base[i] == i, so they never lie in a blossom
+    base = list(range(n))
     p = [-1] * n
+    used = [False] * n
 
     def lca(a: int, b: int) -> int:
-        used = [False] * n
+        path = set()
         while True:
             a = base[a]
-            used[a] = True
+            path.add(a)
             if match[a] == -1:
                 break
             a = p[match[a]]
         while True:
             b = base[b]
-            if used[b]:
+            if b in path:
                 return b
             b = p[match[b]]
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
             p[v] = child
             child = match[v]
             v = p[match[v]]
 
-    def find_augmenting_path(root: int) -> bool:
-        used = [False] * n
-        for i in range(n):
-            p[i] = -1
-            base[i] = i
+    def find_augmenting_path(root: int, touched: list[int]) -> bool:
         used[root] = True
         q = deque([root])
         while q:
@@ -91,17 +91,18 @@ def _mate_array(g: Graph) -> list[int]:
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
                     # odd cycle: contract the blossom to its base
                     curbase = lca(v, to)
-                    blossom = [False] * n
+                    blossom: set[int] = set()
                     mark_path(v, curbase, to, blossom)
                     mark_path(to, curbase, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                q.append(i)
+                    # ascending order, so the queue grows as in a full scan
+                    for i in sorted(i for i in touched if base[i] in blossom):
+                        base[i] = curbase
+                        if not used[i]:
+                            used[i] = True
+                            q.append(i)
                 elif p[to] == -1:
                     p[to] = v
+                    touched.append(to)
                     if match[to] == -1:
                         # found an exposed vertex: augment along the path
                         u = to
@@ -113,12 +114,18 @@ def _mate_array(g: Graph) -> list[int]:
                             u = ppv
                         return True
                     used[match[to]] = True
+                    touched.append(match[to])
                     q.append(match[to])
         return False
 
     for v in range(n):
         if match[v] == -1:
-            find_augmenting_path(v)
+            touched = [v]
+            find_augmenting_path(v, touched)
+            for i in touched:
+                p[i] = -1
+                base[i] = i
+                used[i] = False
     return match
 
 

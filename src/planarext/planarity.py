@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .canon import canonical_form
-from .graphs import Graph, bits, build_graph, connected_components
+from .graphs import Graph, bits, build_graph, component_counts
 
 
 @dataclass(frozen=True)
@@ -425,17 +425,16 @@ def face_count(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> int:
         while cur not in seen:
             seen.add(cur)
             cur = succ[cur]
-    comps = connected_components(g)
-    # edgeless components still bound one face each
-    faces += sum(1 for comp, _ in comps if comp.m == 0)
     if g.n == 0:
         return 1
-    return faces - (len(comps) - 1)
+    components, edgeless = component_counts(g)
+    # edgeless components still bound one face each
+    return faces + edgeless - (components - 1)
 
 
 def euler_identity_holds(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> bool:
     """n - m + f == 1 + c for the traced face count f and c components."""
-    c = len(connected_components(g))
+    c = component_counts(g)[0]
     return g.n - g.m + face_count(g, embedding) == 1 + c
 
 
@@ -451,10 +450,12 @@ def is_planar(g: Graph) -> PlanarityResult:
         planar = lr.test()
     if not planar:
         witness = _minimize_witness(g)
-        assert classify_kuratowski(g.n, witness) in ("K5", "K33")
+        if classify_kuratowski(g.n, witness) not in ("K5", "K33"):
+            raise AssertionError("non-planar witness is not a Kuratowski subdivision")
         return PlanarityResult(False, None, witness)
     embedding = lr.embed()
-    assert euler_identity_holds(g, embedding)
+    if not euler_identity_holds(g, embedding):
+        raise AssertionError("planar embedding fails Euler's formula")
     return PlanarityResult(True, embedding, None)
 
 

@@ -1,57 +1,72 @@
 """graph6 and DOT serialization, plus the single-graph certificate report.
 
-graph6 packs the upper triangle of the adjacency matrix column-wise into
-6-bit groups offset by 63. The header is the single byte n+63 for
-n <= 62 and the standard long form (126 followed by three 6-bit digits
-of n) above that, which the largest star-built families here need.
-Decoding validates length, byte range and zero padding, so a truncated
-or hand-mangled string never produces a silently wrong graph.
+graph6 (B. McKay, formats.txt in the nauty distribution) packs the upper
+triangle of the adjacency matrix column-wise into 6-bit groups offset by
+63. The header is the single byte n+63 for n <= 62 and the standard long
+form (126 followed by three 6-bit digits of n) above that, which the
+largest star-built families here need. Decoding validates length, byte
+range and zero padding, so a truncated or hand-mangled string never
+produces a silently wrong graph.
+
+The encoder works on adjacency bitmasks. Column k of the triangle is the
+low k bits of masks[k], written vertex 0 first, so the whole triangle is
+one bit string and one integer. Each 6-bit group then maps one-to-one
+onto the base64 alphabet: binascii packs or unpacks the integer's bytes
+and bytes.translate swaps that alphabet for the bytes 63..126. The
+decoder jumps from one set bit of the triangle to the next, so it costs
+one step per edge, and hands the rows to the validating Graph
+constructor.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
 from dataclasses import dataclass
+from math import isqrt
 
 from .bounds import max_edges_planar
-from .graphs import Graph, build_graph, degree_stats
+from .graphs import Graph, degree_stats
 from .matching import matching_number
 from .planarity import is_planar
+
+_G6_BYTES = bytes(range(63, 127))
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_G6 = bytes.maketrans(_BASE64, _G6_BYTES)
+_FROM_G6 = bytes.maketrans(_G6_BYTES, _BASE64)
 
 
 def graph6_encode(g: Graph) -> str:
     """graph6 string for g (short form for n <= 62, long form above)."""
-    if g.n > 258047:
+    n = g.n
+    if n > 258047:
         raise ValueError("graph6 supports at most 258047 vertices")
-    bits: list[int] = []
-    for k in range(g.n):
-        for j in range(k):
-            bits.append(1 if g.has_edge(j, k) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    if g.n <= 62:
-        out = [chr(g.n + 63)]
+    if n <= 62:
+        header = chr(n + 63)
     else:
-        out = [
-            chr(126),
-            chr(((g.n >> 12) & 63) + 63),
-            chr(((g.n >> 6) & 63) + 63),
-            chr((g.n & 63) + 63),
-        ]
-    for i in range(0, len(bits), 6):
-        value = 0
-        for b in bits[i : i + 6]:
-            value = (value << 1) | b
-        out.append(chr(value + 63))
-    return "".join(out)
+        header = chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    nbits = n * (n - 1) // 2
+    if not nbits:
+        return header
+    masks = g.masks
+    # columns written last to first, each high bit first, then reversed
+    # once: column k becomes bits 0..k-1 of masks[k], vertex 0 first
+    triangle = "".join(
+        [format(masks[k] & ((1 << k) - 1), "b").zfill(k) for k in range(n - 1, 0, -1)]
+    )[::-1]
+    nchars = (nbits + 5) // 6
+    nbytes = (nchars + 3) // 4 * 3  # whole base64 quanta, zero-padded
+    packed = (int(triangle, 2) << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
+    body = binascii.b2a_base64(packed, newline=False)[:nchars].translate(_TO_G6)
+    return header + body.decode("ascii")
 
 
 def graph6_decode(text: str) -> Graph:
     """Parse a graph6 string; strict about padding and length."""
     if not text:
         raise ValueError("empty graph6 string")
-    data = [ord(ch) for ch in text]
-    if any(b < 63 or b > 126 for b in data):
+    data = text.encode("utf-8", "surrogatepass")  # non-ASCII gives bytes >= 128
+    if data.translate(None, _G6_BYTES):
         raise ValueError("graph6 bytes must be printable ASCII in [63, 126]")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
@@ -71,20 +86,26 @@ def graph6_decode(text: str) -> Graph:
         raise ValueError(
             f"graph6 length {len(data)} does not match order {n} (expected {expected})"
         )
-    bits: list[int] = []
-    for b in data[header_len:]:
-        value = b - 63
-        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+    body = data[header_len:].translate(_FROM_G6)
+    packed = binascii.a2b_base64(body + b"A" * (-len(body) % 4))
+    value = int.from_bytes(packed, "big")
+    spare = 8 * len(packed) - nbits
+    if value & ((1 << spare) - 1):
         raise ValueError("graph6 padding bits must be zero")
-    edges = []
-    idx = 0
-    for k in range(n):
-        for j in range(k):
-            if bits[idx]:
-                edges.append((j, k))
-            idx += 1
-    return build_graph(n, edges)
+    triangle = format(value >> spare, f"0{nbits}b")
+    # columns arrive in ascending order, so every row fills in ascending
+    # order: a vertex's lower neighbours in its own column, then the rest
+    rows: list[list[int]] = [[] for _ in range(n)]
+    pos = triangle.find("1")
+    while pos != -1:
+        k = (isqrt(8 * pos + 1) + 1) // 2  # the column holding bit pos
+        j = pos - k * (k - 1) // 2
+        rows[k].append(j)
+        rows[j].append(k)
+        pos = triangle.find("1", pos + 1)
+    # the Graph constructor validates the rows; from_masks is left to
+    # enumerated graphs, whose calls perfbench counts as the census
+    return Graph(n, tuple(map(tuple, rows)))
 
 
 def dot_export(g: Graph, labels: dict[int, str] | None = None) -> str:

@@ -9,6 +9,8 @@ reference designated-vertex rule of canonical augmentation, which keeps
 the package's marked canonical forms (tested on their own) but decides
 everything else the plain way: a full articulation pass, the degree
 invariant of every vertex and the maximum over all tied marked forms.
+The reference graph6 codec packs and unpacks one bit at a time through
+Graph.has_edge and an edge list, with the same validation and messages.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import combinations, permutations
 
 from planarext import Graph
 from planarext.canon import canonical_form_masks
-from planarext.graphs import bits
+from planarext.graphs import bits, build_graph
 
 
 def brute_matching_number(g: Graph) -> int:
@@ -234,3 +236,71 @@ def reference_accepts_new_vertex(n: int, masks: tuple[int, ...]) -> bool:
         for v in candidates
     }
     return marked[z] == max(marked.values())
+
+
+def reference_graph6_encode(g: Graph) -> str:
+    """graph6 string for g (short form for n <= 62, long form above)."""
+    if g.n > 258047:
+        raise ValueError("graph6 supports at most 258047 vertices")
+    bits: list[int] = []
+    for k in range(g.n):
+        for j in range(k):
+            bits.append(1 if g.has_edge(j, k) else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    if g.n <= 62:
+        out = [chr(g.n + 63)]
+    else:
+        out = [
+            chr(126),
+            chr(((g.n >> 12) & 63) + 63),
+            chr(((g.n >> 6) & 63) + 63),
+            chr((g.n & 63) + 63),
+        ]
+    for i in range(0, len(bits), 6):
+        value = 0
+        for b in bits[i : i + 6]:
+            value = (value << 1) | b
+        out.append(chr(value + 63))
+    return "".join(out)
+
+
+def reference_graph6_decode(text: str) -> Graph:
+    """Parse a graph6 string; strict about padding and length."""
+    if not text:
+        raise ValueError("empty graph6 string")
+    data = [ord(ch) for ch in text]
+    if any(b < 63 or b > 126 for b in data):
+        raise ValueError("graph6 bytes must be printable ASCII in [63, 126]")
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            raise ValueError("graph6 orders above 258047 are not supported")
+        if len(data) < 4:
+            raise ValueError("truncated long-form graph6 header")
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        if n <= 62:
+            raise ValueError("long-form graph6 header used for an order under 63")
+        header_len = 4
+    else:
+        n = data[0] - 63
+        header_len = 1
+    nbits = n * (n - 1) // 2
+    expected = header_len + (nbits + 5) // 6
+    if len(data) != expected:
+        raise ValueError(
+            f"graph6 length {len(data)} does not match order {n} (expected {expected})"
+        )
+    bits: list[int] = []
+    for b in data[header_len:]:
+        value = b - 63
+        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
+    if any(bits[nbits:]):
+        raise ValueError("graph6 padding bits must be zero")
+    edges = []
+    idx = 0
+    for k in range(n):
+        for j in range(k):
+            if bits[idx]:
+                edges.append((j, k))
+            idx += 1
+    return build_graph(n, edges)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from planarext import (
@@ -14,7 +16,9 @@ from planarext import (
     induced_subgraph,
     is_connected,
 )
-from planarext.graphs import from_masks
+from planarext.graphs import component_counts, from_masks
+
+from oracles import all_labeled_graphs
 
 
 def test_graph_basic_invariants():
@@ -94,6 +98,20 @@ def test_connected_components_structure():
     assert [c.n for c, _ in comps] == [3, 2, 1]
     assert [labels for _, labels in comps] == [(0, 1, 2), (3, 4), (5,)]
     assert not is_connected(g)
+
+
+def test_component_counts_match_components():
+    rng = random.Random(7)
+    graphs = [from_masks(n, m) for n in range(6) for m in all_labeled_graphs(n)]
+    for n in (20, 64, 65, 130):
+        for p in (0.005, 0.02, 0.1):
+            edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
+            graphs.append(build_graph(n, edges))
+    for g in graphs:
+        comps = connected_components(g)
+        edgeless = sum(1 for c, _ in comps if c.m == 0)
+        assert component_counts(g) == (len(comps), edgeless)
+        assert is_connected(g) == (len(comps) <= 1)
 
 
 def test_delete_vertex():

@@ -9,13 +9,15 @@ from planarext import (
     atlas,
     build_graph,
     complete,
+    extremal_general,
     has_perfect_matching,
     is_factor_critical,
     matching_number,
     maximum_matching,
+    pivotal_planar,
     star,
 )
-from planarext.graphs import from_masks
+from planarext.graphs import disjoint_union, from_masks
 
 from oracles import brute_matching_number
 
@@ -111,3 +113,56 @@ def test_factor_critical():
 def test_matching_number_on_masks_path():
     g = from_masks(3, (0b010, 0b101, 0b010))
     assert matching_number(g) == 1
+
+
+def _odd_union(rng: random.Random):
+    """Randomly relabeled disjoint union of odd components, at most 10 vertices."""
+    parts = []
+    total = 0
+    while True:
+        k = rng.choice((1, 3, 3, 5, 5, 7))
+        if total + k > 10:
+            break
+        # a spanning cycle keeps each odd component connected
+        edges = [(i, (i + 1) % k) for i in range(k)] if k > 1 else []
+        edges += [(u, v) for v in range(k) for u in range(v) if rng.random() < 0.3]
+        parts.append(build_graph(k, edges))
+        total += k
+    g = disjoint_union(*parts)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+# found by random search: a later search must contract a blossom through
+# vertices that an earlier augmenting search had already labelled
+_STALE_SEARCH_STATE = [
+    [(0, 1), (0, 3), (0, 4), (0, 5), (0, 6), (0, 9), (1, 4), (1, 5), (1, 7),
+     (2, 3), (2, 4), (2, 6), (2, 8), (3, 5), (3, 7), (4, 9)],
+    [(0, 2), (0, 6), (0, 8), (1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4),
+     (2, 5), (3, 4), (4, 7), (6, 7), (6, 8), (7, 8), (7, 9)],
+]
+
+
+def test_matching_number_matches_brute_force_at_scale():
+    for edges in _STALE_SEARCH_STATE:
+        g = build_graph(10, edges)
+        assert matching_number(g) == brute_matching_number(g) == 5
+    rng = random.Random(2022)
+    for i in range(2000):
+        if i % 2:
+            g = _odd_union(rng)
+        else:
+            n = rng.randint(1, 10)
+            p = rng.random()
+            g = build_graph(
+                n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
+            )
+        assert matching_number(g) == brute_matching_number(g), g.edges()
+
+
+def test_extremal_families_have_matching_number_nu_minus_one():
+    for d in range(2, 11):
+        for nu in range(2, 41):
+            assert matching_number(pivotal_planar(d, nu)) == nu - 1
+            assert matching_number(extremal_general(d, nu)) == nu - 1

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import planarext
 
 from planarext import (
     atlas,
@@ -158,3 +164,50 @@ def test_large_planar_unions():
     g = pivotal_planar(10, 13)  # 120 vertices of stars
     assert is_planar(g).verdict
     assert is_planar(pivotal_planar(6, 13)).verdict
+
+
+_OPTIMIZED_CHILD = """
+import sys
+from planarext import build_graph, constructions, planarity
+
+
+def raises(label, call):
+    try:
+        call()
+    except AssertionError:
+        print(label)
+
+
+print("optimize", sys.flags.optimize)
+cycle = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
+planarity.face_count = lambda g, embedding: 0
+raises("is_planar", lambda: planarity.is_planar(cycle))
+real_matching_number = constructions.matching_number
+constructions.matching_number = lambda g: -1
+raises("atlas statistics", lambda: constructions.atlas("A4"))
+constructions.matching_number = real_matching_number
+constructions.is_planar = lambda g: planarity.PlanarityResult(False, None, None)
+raises("atlas planarity", lambda: constructions.atlas("A5"))
+constructions.max_edges_planar = lambda d, nu: -1
+raises("pivotal_planar", lambda: constructions.pivotal_planar(5, 4))
+constructions.max_edges_general = lambda d, nu: -1
+raises("extremal_general", lambda: constructions.extremal_general(5, 4))
+"""
+
+
+def test_certify_checks_survive_optimize():
+    # python -O strips assert statements; these checks must still raise
+    src = str(Path(planarext.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHILD],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.splitlines()
+    assert out == [
+        "optimize 1",
+        "is_planar",
+        "atlas statistics",
+        "atlas planarity",
+        "pivotal_planar",
+        "extremal_general",
+    ]

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
+import re
 
 import pytest
 
@@ -15,6 +18,49 @@ from planarext import (
     pivotal_planar,
     star,
 )
+
+from oracles import reference_graph6_decode, reference_graph6_encode
+
+# SHA-256 of the newline-joined encodings of _codec_corpus(), computed with
+# the bit-by-bit reference encoder before the codec moved onto bitmasks
+CODEC_CORPUS_SHA256 = "3a3d5a8fcfef1be8699d258e7c2dfd9fe175a8e366c65a180abfbf7eefa546c7"
+
+
+def _codec_corpus():
+    """Seeded random graphs for n = 0..70 plus every pivotal_planar(d, nu)."""
+    rng = random.Random(2022)
+    graphs = []
+    for n in range(71):
+        for p in (0.05, 0.3, 0.8):
+            edges = [
+                (u, v) for v in range(n) for u in range(v) if rng.random() < p
+            ]
+            graphs.append(build_graph(n, edges))
+    graphs += [pivotal_planar(d, nu) for d in range(2, 11) for nu in range(2, 41)]
+    return graphs
+
+
+def _decode_outcome(decode, text):
+    try:
+        return ("ok", decode(text).adj)
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """Replace, delete or insert one character, often inside the header."""
+    pos = rng.randrange(min(len(text), 5) if rng.random() < 0.4 else len(text))
+    ch = (
+        chr(rng.randint(63, 126))
+        if rng.random() < 0.8
+        else rng.choice(["\x00", " ", ">", "\x7f", "\xe9", "\u2603", "\ud800", "~"])
+    )
+    kind = rng.choice(("replace", "delete", "insert"))
+    if kind == "replace":
+        return text[:pos] + ch + text[pos + 1 :]
+    if kind == "delete":
+        return text[:pos] + text[pos + 1 :]
+    return text[:pos] + ch + text[pos:]
 
 
 def test_known_encodings():
@@ -73,6 +119,8 @@ def test_short_header_is_used_below_63():
     assert graph6_decode(text).adj == g.adj
     with pytest.raises(ValueError):
         graph6_decode("~??" + chr(63 + 10))  # long form for a small order
+    with pytest.raises(ValueError):
+        graph6_decode("~??" + chr(63 + 62) + text[1:])  # ... even at the boundary
 
 
 def test_dot_export_shapes():
@@ -120,3 +168,24 @@ def test_certificate_tight_requires_membership():
     rep = certificate(star(4), 5, 3)
     assert rep.planar and rep.max_degree < 5 and rep.matching_number < 3
     assert not rep.tight
+
+
+def test_codec_matches_reference():
+    graphs = _codec_corpus()
+    texts = [graph6_encode(g) for g in graphs]
+    assert texts == [reference_graph6_encode(g) for g in graphs]
+    digest = hashlib.sha256("\n".join(texts).encode("ascii")).hexdigest()
+    assert digest == CODEC_CORPUS_SHA256
+    for g, text in zip(graphs, texts):
+        assert graph6_decode(text).adj == reference_graph6_decode(text).adj == g.adj
+    # the decoders must accept and reject exactly the same mutated strings
+    rng = random.Random(63)
+    small = [t for g, t in zip(graphs, texts) if g.n <= 70]
+    large = [t for g, t in zip(graphs, texts) if g.n > 70]
+    outcomes = set()
+    for i in range(3000):
+        text = _mutate(rng, rng.choice(large if i % 20 == 0 else small))
+        got = _decode_outcome(graph6_decode, text)
+        assert got == _decode_outcome(reference_graph6_decode, text), repr(text)
+        outcomes.add(re.sub(r"\d+", "#", got[1]) if got[0] == "error" else "ok")
+    assert len(outcomes) == 8, outcomes  # acceptance and all seven rejections

@@ -20,19 +20,41 @@ from .graphs import Graph, bits
 
 
 def _refine(n: int, neighbors: list[list[int]], colors: list[int]) -> list[int]:
-    """Equitable refinement; returns a normalized stable coloring."""
-    ncolors = len(set(colors))
+    """Equitable refinement; returns a normalized stable coloring.
+
+    Each round ranks the vertices by (color, sorted neighbor colors). A
+    singleton cell keeps its rank without a signature, and the rounds stop
+    when no cell splits.
+    """
     while True:
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            if c in cells:
+                cells[c].append(v)
+            else:
+                cells[c] = [v]
         color_of = colors.__getitem__
-        sigs = [
-            (c, tuple(sorted(map(color_of, nbrs))))
-            for c, nbrs in zip(colors, neighbors)
-        ]
-        remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [remap[s] for s in sigs]
-        if len(remap) == ncolors:
+        new = [0] * n
+        rank = 0
+        split = False
+        for c in sorted(cells):
+            cell = cells[c]
+            if len(cell) > 1:
+                sigs = [tuple(sorted(map(color_of, neighbors[v]))) for v in cell]
+                distinct = sorted(set(sigs))
+                if len(distinct) > 1:
+                    split = True
+                    index = {s: rank + i for i, s in enumerate(distinct)}
+                    for v, s in zip(cell, sigs):
+                        new[v] = index[s]
+                    rank += len(distinct)
+                    continue
+            for v in cell:
+                new[v] = rank
+            rank += 1
+        if not split:
             return new
-        colors, ncolors = new, len(remap)
+        colors = new
 
 
 def _pack_bits(n: int, masks: Sequence[int], order: list[int]) -> bytes:

@@ -109,7 +109,8 @@ def _merge_sidecar(best: _Best, payload: dict[str, list]) -> None:
     for mu_text, (edges, g6) in payload.items():
         g = graph6_decode(g6)
         _offer(best, g, canonical_form(g))
-        assert best[int(mu_text)][0] >= edges
+        if best[int(mu_text)][0] < edges:
+            raise AssertionError(f"checkpointed witness for mu={mu_text} lost edges")
 
 
 def _load_checkpoint(path: str, d: int, n_max: int) -> dict[str, dict[str, list]]:
@@ -206,11 +207,16 @@ def component_table(
     records = []
     for mu in sorted(best):
         edges, _form, witness = best[mu]
-        assert is_connected(witness)
-        assert degree_stats(witness)[0] < d
-        assert matching_number(witness) == mu
-        assert witness.m == edges
-        assert is_planar(witness).verdict
+        if not is_connected(witness):
+            raise AssertionError(f"witness for mu={mu}: not connected")
+        if not degree_stats(witness)[0] < d:
+            raise AssertionError(f"witness for mu={mu}: max degree not below {d}")
+        if matching_number(witness) != mu:
+            raise AssertionError(f"witness for mu={mu}: wrong matching number")
+        if witness.m != edges:
+            raise AssertionError(f"witness for mu={mu}: not {edges} edges")
+        if not is_planar(witness).verdict:
+            raise AssertionError(f"witness for mu={mu}: not planar")
         records.append(
             ComponentRecord(
                 mu=mu,

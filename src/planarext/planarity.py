@@ -32,289 +32,282 @@ def euler_reject(g: Graph) -> bool:
     return g.n >= 3 and g.m > 3 * g.n - 6
 
 
-class _Interval:
-    __slots__ = ("low", "high")
-
-    def __init__(self, low=None, high=None):
-        self.low = low
-        self.high = high
-
-    def empty(self) -> bool:
-        return self.low is None and self.high is None
-
-    def copy(self) -> "_Interval":
-        return _Interval(self.low, self.high)
-
-
-class _ConflictPair:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left=None, right=None):
-        self.left = left if left is not None else _Interval()
-        self.right = right if right is not None else _Interval()
-
-    def swap(self) -> None:
-        self.left, self.right = self.right, self.left
+def _merge_lowpts(lowpt: list[int], lowpt2: list[int], ep: int, ec: int) -> None:
+    """Fold the low points of edge ec into those of its parent edge ep."""
+    lc, lp = lowpt[ec], lowpt[ep]
+    if lc < lp:
+        lowpt2[ep] = min(lp, lowpt2[ec])
+        lowpt[ep] = lc
+    elif lc > lp:
+        lowpt2[ep] = min(lowpt2[ep], lc)
+    else:
+        lowpt2[ep] = min(lowpt2[ep], lowpt2[ec])
 
 
 class _LRTest:
-    """One run of the left-right test over a whole (possibly disconnected) graph."""
+    """One run of the left-right test over a whole (possibly disconnected) graph.
+
+    Edges are numbered in the order the DFS orients them, and every
+    per-edge quantity is a list indexed by that id; -1 stands for "no
+    edge" and -1 in height for "not visited". A conflict pair is a list
+    [left.low, left.high, right.low, right.high] of edge ids, and an
+    interval is empty when its low (equivalently its high) is -1.
+    """
 
     def __init__(self, n: int, adj):
         self.n = n
         self.adj = adj
-        self.height: list[int | None] = [None] * n
-        self.parent_edge: list[tuple[int, int] | None] = [None] * n
+        m = sum(map(len, adj)) // 2
+        self.height = [-1] * n
+        self.parent_edge = [-1] * n
         self.out_edges: list[list[int]] = [[] for _ in range(n)]
+        self.ordered_adjs: list[list[int]] = []
         self.roots: list[int] = []
-        self.lowpt: dict[tuple[int, int], int] = {}
-        self.lowpt2: dict[tuple[int, int], int] = {}
-        self.nesting_depth: dict[tuple[int, int], int] = {}
-        self.ordered_adjs: list[list[int]] = [[] for _ in range(n)]
+        self.src = [0] * m
+        self.dst = [0] * m
+        self.lowpt = [0] * m
+        self.lowpt2 = [0] * m
+        self.nesting_depth = [0] * m
         # testing state
-        self.S: list[_ConflictPair] = []
-        self.stack_bottom: dict[tuple[int, int], _ConflictPair | None] = {}
-        self.lowpt_edge: dict[tuple[int, int], tuple[int, int]] = {}
-        self.ref: dict[tuple[int, int], tuple[int, int] | None] = {}
-        self.side: dict[tuple[int, int], int] = {}
+        self.S: list[list[int]] = []
+        self.stack_bottom: list[list[int] | None] = [None] * m
+        self.lowpt_edge = [-1] * m
+        self.ref = [-1] * m
+        self.side = [1] * m
 
     # ---- phase 1: orientation ----
 
-    def _update_parent_lowpts(self, ep, ec) -> None:
-        if self.lowpt[ec] < self.lowpt[ep]:
-            self.lowpt2[ep] = min(self.lowpt[ep], self.lowpt2[ec])
-            self.lowpt[ep] = self.lowpt[ec]
-        elif self.lowpt[ec] > self.lowpt[ep]:
-            self.lowpt2[ep] = min(self.lowpt2[ep], self.lowpt[ec])
-        else:
-            self.lowpt2[ep] = min(self.lowpt2[ep], self.lowpt2[ec])
-
-    def _set_nesting(self, e) -> None:
-        self.nesting_depth[e] = 2 * self.lowpt[e]
-        if self.lowpt2[e] < self.height[e[0]]:
-            # chordal edges nest one level deeper
-            self.nesting_depth[e] += 1
-
     def orient(self) -> None:
-        oriented: set[tuple[int, int]] = set()
+        adj, height, parent_edge = self.adj, self.height, self.parent_edge
+        out_edges, src, dst = self.out_edges, self.src, self.dst
+        lowpt, lowpt2, nesting = self.lowpt, self.lowpt2, self.nesting_depth
+        e = 0
         for root in range(self.n):
-            if self.height[root] is not None:
+            if height[root] >= 0:
                 continue
             self.roots.append(root)
-            self.height[root] = 0
-            stack = [(root, 0)]
+            height[root] = 0
+            stack = [(root, iter(adj[root]))]
             while stack:
-                v, i = stack[-1]
-                if i == len(self.adj[v]):
-                    stack.pop()
-                    e = self.parent_edge[v]
-                    if e is not None:
-                        self._set_nesting(e)
-                        pe = self.parent_edge[e[0]]
-                        if pe is not None:
-                            self._update_parent_lowpts(pe, e)
-                    continue
-                stack[-1] = (v, i + 1)
-                w = self.adj[v][i]
-                if (v, w) in oriented or (w, v) in oriented:
-                    continue
-                e = (v, w)
-                oriented.add(e)
-                self.out_edges[v].append(w)
-                self.lowpt[e] = self.height[v]
-                self.lowpt2[e] = self.height[v]
-                if self.height[w] is None:
-                    self.parent_edge[w] = e
-                    self.height[w] = self.height[v] + 1
-                    stack.append((w, 0))
+                v, row = stack[-1]
+                hv = height[v]
+                ep = parent_edge[v]
+                for w in row:
+                    hw = height[w]
+                    if hw >= 0 and hw >= hv - 1:
+                        # w is v's tree parent or a finished descendant,
+                        # so the edge was oriented from w's side already
+                        continue
+                    src[e] = v
+                    dst[e] = w
+                    out_edges[v].append(e)
+                    lowpt2[e] = hv
+                    if hw < 0:
+                        lowpt[e] = hv
+                        parent_edge[w] = e
+                        height[w] = hv + 1
+                        stack.append((w, iter(adj[w])))
+                        e += 1
+                        break
+                    # back edge to the ancestor w
+                    lowpt[e] = hw
+                    nesting[e] = 2 * hw
+                    if ep >= 0:
+                        _merge_lowpts(lowpt, lowpt2, ep, e)
+                    e += 1
                 else:
-                    self.lowpt[e] = self.height[w]
-                    self._set_nesting(e)
-                    pe = self.parent_edge[v]
-                    if pe is not None:
-                        self._update_parent_lowpts(pe, e)
-        for v in range(self.n):
-            self.ordered_adjs[v] = sorted(
-                self.out_edges[v], key=lambda w: self.nesting_depth[(v, w)]
-            )
-            for w in self.out_edges[v]:
-                self.side[(v, w)] = 1
-                self.ref[(v, w)] = None
+                    stack.pop()
+                    if ep < 0:
+                        continue
+                    u = src[ep]
+                    # chordal edges nest one level deeper
+                    nesting[ep] = 2 * lowpt[ep] + (lowpt2[ep] < height[u])
+                    if parent_edge[u] >= 0:
+                        _merge_lowpts(lowpt, lowpt2, parent_edge[u], ep)
+        key = nesting.__getitem__
+        self.ordered_adjs = [sorted(out, key=key) for out in out_edges]
 
     # ---- phase 2: testing ----
 
-    def _lowest(self, p: _ConflictPair) -> int:
-        assert not (p.left.empty() and p.right.empty())
-        if p.left.empty():
-            return self.lowpt[p.right.low]
-        if p.right.empty():
-            return self.lowpt[p.left.low]
-        return min(self.lowpt[p.left.low], self.lowpt[p.right.low])
-
-    def _conflicting(self, interval: _Interval, b) -> bool:
-        return not interval.empty() and self.lowpt[interval.high] > self.lowpt[b]
-
-    def _add_constraints(self, ei, e) -> bool:
-        p = _ConflictPair()
+    def _add_constraints(self, ei: int, e: int) -> bool:
+        S, lowpt, ref = self.S, self.lowpt, self.ref
+        p = [-1, -1, -1, -1]
+        bottom = self.stack_bottom[ei]
+        low_e = lowpt[e]
         # merge return edges of ei into p.right
         while True:
-            q = self.S.pop()
-            if not q.left.empty():
-                q.swap()
-            if not q.left.empty():
-                return False
-            if self.lowpt[q.right.low] > self.lowpt[e]:
-                if p.right.empty():
-                    p.right.high = q.right.high
+            q = S.pop()
+            if q[0] >= 0:
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+                if q[0] >= 0:
+                    return False
+            if lowpt[q[2]] > low_e:
+                if p[2] < 0:
+                    p[3] = q[3]
                 else:
-                    self.ref[p.right.low] = q.right.high
-                p.right.low = q.right.low
+                    ref[p[2]] = q[3]
+                p[2] = q[2]
             else:
                 # align with the parent's low return edge
-                self.ref[q.right.low] = self.lowpt_edge[e]
-            if (self.S[-1] if self.S else None) is self.stack_bottom[ei]:
+                ref[q[2]] = self.lowpt_edge[e]
+            if (S[-1] if S else None) is bottom:
                 break
         # merge conflicting return edges of earlier siblings into p.left
-        while self.S and (
-            self._conflicting(self.S[-1].left, ei)
-            or self._conflicting(self.S[-1].right, ei)
-        ):
-            q = self.S.pop()
-            if self._conflicting(q.right, ei):
-                q.swap()
-            if self._conflicting(q.right, ei):
-                return False
-            if p.right.low is not None:
-                self.ref[p.right.low] = q.right.high
+        low_ei = lowpt[ei]
+        while S:
+            q = S[-1]
+            right_conflicts = q[3] >= 0 and lowpt[q[3]] > low_ei
+            if not right_conflicts and not (q[1] >= 0 and lowpt[q[1]] > low_ei):
+                break
+            S.pop()
+            if right_conflicts:
+                if q[1] >= 0 and lowpt[q[1]] > low_ei:
+                    return False
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+            if p[2] >= 0:
+                ref[p[2]] = q[3]
             else:
-                p.right.high = q.right.high
-            if q.right.low is not None:
-                p.right.low = q.right.low
-            if p.left.empty():
-                p.left.high = q.left.high
+                p[3] = q[3]
+            if q[2] >= 0:
+                p[2] = q[2]
+            if p[0] < 0:
+                p[1] = q[1]
             else:
-                self.ref[p.left.low] = q.left.high
-            p.left.low = q.left.low
-        if not (p.left.empty() and p.right.empty()):
-            self.S.append(p)
+                ref[p[0]] = q[1]
+            p[0] = q[0]
+        if p[0] >= 0 or p[2] >= 0:
+            S.append(p)
         return True
 
-    def _remove_back_edges(self, e) -> None:
-        u = e[0]
-        while self.S and self._lowest(self.S[-1]) == self.height[u]:
-            p = self.S.pop()
-            if p.left.low is not None:
-                self.side[p.left.low] = -1
-        if self.S:
-            p = self.S.pop()
-            while p.left.high is not None and p.left.high[1] == u:
-                p.left.high = self.ref[p.left.high]
-            if p.left.high is None and p.left.low is not None:
-                self.ref[p.left.low] = p.right.low
-                self.side[p.left.low] = -1
-                p.left.low = None
-            while p.right.high is not None and p.right.high[1] == u:
-                p.right.high = self.ref[p.right.high]
-            if p.right.high is None and p.right.low is not None:
-                self.ref[p.right.low] = p.left.low
-                self.side[p.right.low] = -1
-                p.right.low = None
-            self.S.append(p)
-        if self.lowpt[e] < self.height[u]:
-            # e has a return edge; its side follows the highest one left
-            top = self.S[-1] if self.S else _ConflictPair()
-            hl = top.left.high
-            hr = top.right.high
-            if hl is not None and (hr is None or self.lowpt[hl] > self.lowpt[hr]):
-                self.ref[e] = hl
+    def _remove_back_edges(self, e: int) -> None:
+        S, lowpt, ref, side = self.S, self.lowpt, self.ref, self.side
+        u = self.src[e]
+        hu = self.height[u]
+        while S:
+            p = S[-1]
+            if p[0] < 0:
+                if p[2] < 0:
+                    raise AssertionError("empty conflict pair on S")
+                lowest = lowpt[p[2]]
+            elif p[2] < 0:
+                lowest = lowpt[p[0]]
             else:
-                self.ref[e] = hr
-
-    _ENTER = 0
-    _INTEGRATE = 1
+                lowest = min(lowpt[p[0]], lowpt[p[2]])
+            if lowest != hu:
+                break
+            S.pop()
+            if p[0] >= 0:
+                side[p[0]] = -1
+        if S:
+            p = S[-1]
+            dst = self.dst
+            while p[1] >= 0 and dst[p[1]] == u:
+                p[1] = ref[p[1]]
+            if p[1] < 0 and p[0] >= 0:
+                ref[p[0]] = p[2]
+                side[p[0]] = -1
+                p[0] = -1
+            while p[3] >= 0 and dst[p[3]] == u:
+                p[3] = ref[p[3]]
+            if p[3] < 0 and p[2] >= 0:
+                ref[p[2]] = p[0]
+                side[p[2]] = -1
+                p[2] = -1
+        if lowpt[e] < hu:
+            # e has a return edge; its side follows the highest one left
+            hl, hr = (S[-1][1], S[-1][3]) if S else (-1, -1)
+            if hl >= 0 and (hr < 0 or lowpt[hl] > lowpt[hr]):
+                ref[e] = hl
+            else:
+                ref[e] = hr
 
     def test(self) -> bool:
+        S, ordered, dst = self.S, self.ordered_adjs, self.dst
+        height, parent_edge, lowpt = self.height, self.parent_edge, self.lowpt
+        lowpt_edge, stack_bottom = self.lowpt_edge, self.stack_bottom
         for root in self.roots:
-            stack: list[tuple[int, int, int]] = [(self._ENTER, root, 0)]
-            while stack:
-                tag, v, i = stack.pop()
-                if tag == self._ENTER:
-                    if i == len(self.ordered_adjs[v]):
-                        e = self.parent_edge[v]
-                        if e is not None:
-                            self._remove_back_edges(e)
+            # frames of (vertex, index of the tree edge being descended)
+            stack: list[tuple[int, int]] = []
+            v, i = root, 0
+            while True:
+                row = ordered[v]
+                if i < len(row):
+                    ei = row[i]
+                    stack_bottom[ei] = S[-1] if S else None
+                    w = dst[ei]
+                    if parent_edge[w] == ei:
+                        stack.append((v, i))
+                        v, i = w, 0
                         continue
-                    w = self.ordered_adjs[v][i]
-                    ei = (v, w)
-                    self.stack_bottom[ei] = self.S[-1] if self.S else None
-                    stack.append((self._ENTER, v, i + 1))
-                    stack.append((self._INTEGRATE, v, i))
-                    if self.parent_edge[w] == ei:
-                        stack.append((self._ENTER, w, 0))
-                    else:
-                        self.lowpt_edge[ei] = ei
-                        self.S.append(_ConflictPair(right=_Interval(ei, ei)))
+                    lowpt_edge[ei] = ei
+                    S.append([-1, -1, ei, ei])
                 else:
-                    w = self.ordered_adjs[v][i]
-                    ei = (v, w)
-                    if self.lowpt[ei] < self.height[v]:
-                        e = self.parent_edge[v]
-                        if i == 0:
-                            self.lowpt_edge[e] = self.lowpt_edge[ei]
-                        elif not self._add_constraints(ei, e):
-                            return False
+                    e = parent_edge[v]
+                    if e >= 0:
+                        self._remove_back_edges(e)
+                    if not stack:
+                        break
+                    v, i = stack.pop()
+                    ei = ordered[v][i]
+                # integrate ei into the constraints of v's parent edge
+                if lowpt[ei] < height[v]:
+                    e = parent_edge[v]
+                    if i == 0:
+                        lowpt_edge[e] = lowpt_edge[ei]
+                    elif not self._add_constraints(ei, e):
+                        return False
+                i += 1
         return True
 
     # ---- phase 3: embedding ----
 
-    def _resolved_side(self, e) -> int:
-        chain = []
-        cur = e
-        while self.ref[cur] is not None:
-            chain.append(cur)
-            cur = self.ref[cur]
-        sign = self.side[cur]
-        for edge in reversed(chain):
-            self.side[edge] *= sign
-            self.ref[edge] = None
-            sign = self.side[edge]
-        return self.side[e]
-
     def embed(self) -> tuple[tuple[int, ...], ...]:
-        for v in range(self.n):
-            for w in self.out_edges[v]:
-                self._resolved_side((v, w))
-            self.ordered_adjs[v] = sorted(
-                self.out_edges[v],
-                key=lambda w: self.nesting_depth[(v, w)] * self.side[(v, w)],
-            )
+        src, dst, side, ref = self.src, self.dst, self.side, self.ref
+        nesting, parent_edge = self.nesting_depth, self.parent_edge
+        ordered = self.ordered_adjs
+
+        def signed_depth(e: int) -> int:
+            return nesting[e] * side[e]
+
+        for v, out in enumerate(self.out_edges):
+            for e in out:
+                # resolve the sign of e along its ref chain, compressing it
+                chain = []
+                cur = e
+                while ref[cur] >= 0:
+                    chain.append(cur)
+                    cur = ref[cur]
+                sign = side[cur]
+                for edge in reversed(chain):
+                    side[edge] *= sign
+                    ref[edge] = -1
+                    sign = side[edge]
+            if len(out) > 1:
+                ordered[v] = sorted(out, key=signed_depth)
         rotation: list[list[int]] = [[] for _ in range(self.n)]
-        left_ref: dict[int, int] = {}
-        right_ref: dict[int, int] = {}
+        left_ref = [0] * self.n
+        right_ref = [0] * self.n
         for root in self.roots:
-            stack = [(root, 0)]
-            while stack:
-                v, i = stack[-1]
-                if i == len(self.ordered_adjs[v]):
-                    stack.pop()
-                    continue
-                stack[-1] = (v, i + 1)
-                w = self.ordered_adjs[v][i]
-                ei = (v, w)
-                rotation[v].append(w)
-                if self.parent_edge[w] == ei:
-                    rotation[w].insert(0, v)
-                    left_ref[v] = w
-                    right_ref[v] = w
-                    stack.append((w, 0))
-                elif self.side[ei] == 1:
-                    pos = rotation[w].index(right_ref[w])
-                    rotation[w].insert(pos + 1, v)
+            rows = [iter(ordered[root])]
+            while rows:
+                for ei in rows[-1]:
+                    v, w = src[ei], dst[ei]
+                    rotation[v].append(w)
+                    if parent_edge[w] == ei:
+                        rotation[w].insert(0, v)
+                        left_ref[v] = w
+                        right_ref[v] = w
+                        rows.append(iter(ordered[w]))
+                        break
+                    rw = rotation[w]
+                    if side[ei] == 1:
+                        rw.insert(rw.index(right_ref[w]) + 1, v)
+                    else:
+                        rw.insert(rw.index(left_ref[w]), v)
+                        left_ref[w] = v
                 else:
-                    pos = rotation[w].index(left_ref[w])
-                    rotation[w].insert(pos, v)
-                    left_ref[w] = v
-        return tuple(tuple(row) for row in rotation)
+                    rows.pop()
+        return tuple(map(tuple, rotation))
 
 
 def _decide(n: int, masks: Sequence[int]) -> bool:
@@ -409,14 +402,16 @@ def face_count(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> int:
     is the per-component face total minus (components - 1). The empty
     graph has one face, the whole plane.
     """
-    succ: dict[tuple[int, int], tuple[int, int]] = {}
-    for v in range(g.n):
+    # the dart u -> v is the integer u * n + v
+    n = g.n
+    succ: dict[int, int] = {}
+    for v in range(n):
         rot = embedding[v]
-        k = len(rot)
-        for idx, u in enumerate(rot):
-            succ[(u, v)] = (v, rot[(idx + 1) % k])
+        base = v * n
+        for u, w in zip(rot, rot[1:] + rot[:1]):
+            succ[u * n + v] = base + w
     faces = 0
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     for dart in succ:
         if dart in seen:
             continue

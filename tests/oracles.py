@@ -11,6 +11,9 @@ everything else the plain way: a full articulation pass, the degree
 invariant of every vertex and the maximum over all tied marked forms.
 The reference graph6 codec packs and unpacks one bit at a time through
 Graph.has_edge and an edge list, with the same validation and messages.
+The reference left-right planarity test is the package's earlier kernel,
+keyed by (v, w) edge tuples and interval objects; the array-indexed
+kernel must reproduce its verdicts, rotation systems and witnesses.
 """
 
 from __future__ import annotations
@@ -304,3 +307,329 @@ def reference_graph6_decode(text: str) -> Graph:
                 edges.append((j, k))
             idx += 1
     return build_graph(n, edges)
+
+
+# Reference left-right planarity test: the dict-keyed version that
+# planarity._LRTest replaced, kept verbatim so the array-indexed kernel can
+# be held to the same verdicts, embeddings and witnesses.
+
+
+class _Interval:
+    __slots__ = ("low", "high")
+
+    def __init__(self, low=None, high=None):
+        self.low = low
+        self.high = high
+
+    def empty(self) -> bool:
+        return self.low is None and self.high is None
+
+    def copy(self) -> "_Interval":
+        return _Interval(self.low, self.high)
+
+
+class _ConflictPair:
+    __slots__ = ("left", "right")
+
+    def __init__(self, left=None, right=None):
+        self.left = left if left is not None else _Interval()
+        self.right = right if right is not None else _Interval()
+
+    def swap(self) -> None:
+        self.left, self.right = self.right, self.left
+
+
+class _LRTest:
+    """One run of the left-right test over a whole (possibly disconnected) graph."""
+
+    def __init__(self, n: int, adj):
+        self.n = n
+        self.adj = adj
+        self.height: list[int | None] = [None] * n
+        self.parent_edge: list[tuple[int, int] | None] = [None] * n
+        self.out_edges: list[list[int]] = [[] for _ in range(n)]
+        self.roots: list[int] = []
+        self.lowpt: dict[tuple[int, int], int] = {}
+        self.lowpt2: dict[tuple[int, int], int] = {}
+        self.nesting_depth: dict[tuple[int, int], int] = {}
+        self.ordered_adjs: list[list[int]] = [[] for _ in range(n)]
+        # testing state
+        self.S: list[_ConflictPair] = []
+        self.stack_bottom: dict[tuple[int, int], _ConflictPair | None] = {}
+        self.lowpt_edge: dict[tuple[int, int], tuple[int, int]] = {}
+        self.ref: dict[tuple[int, int], tuple[int, int] | None] = {}
+        self.side: dict[tuple[int, int], int] = {}
+
+    # ---- phase 1: orientation ----
+
+    def _update_parent_lowpts(self, ep, ec) -> None:
+        if self.lowpt[ec] < self.lowpt[ep]:
+            self.lowpt2[ep] = min(self.lowpt[ep], self.lowpt2[ec])
+            self.lowpt[ep] = self.lowpt[ec]
+        elif self.lowpt[ec] > self.lowpt[ep]:
+            self.lowpt2[ep] = min(self.lowpt2[ep], self.lowpt[ec])
+        else:
+            self.lowpt2[ep] = min(self.lowpt2[ep], self.lowpt2[ec])
+
+    def _set_nesting(self, e) -> None:
+        self.nesting_depth[e] = 2 * self.lowpt[e]
+        if self.lowpt2[e] < self.height[e[0]]:
+            # chordal edges nest one level deeper
+            self.nesting_depth[e] += 1
+
+    def orient(self) -> None:
+        oriented: set[tuple[int, int]] = set()
+        for root in range(self.n):
+            if self.height[root] is not None:
+                continue
+            self.roots.append(root)
+            self.height[root] = 0
+            stack = [(root, 0)]
+            while stack:
+                v, i = stack[-1]
+                if i == len(self.adj[v]):
+                    stack.pop()
+                    e = self.parent_edge[v]
+                    if e is not None:
+                        self._set_nesting(e)
+                        pe = self.parent_edge[e[0]]
+                        if pe is not None:
+                            self._update_parent_lowpts(pe, e)
+                    continue
+                stack[-1] = (v, i + 1)
+                w = self.adj[v][i]
+                if (v, w) in oriented or (w, v) in oriented:
+                    continue
+                e = (v, w)
+                oriented.add(e)
+                self.out_edges[v].append(w)
+                self.lowpt[e] = self.height[v]
+                self.lowpt2[e] = self.height[v]
+                if self.height[w] is None:
+                    self.parent_edge[w] = e
+                    self.height[w] = self.height[v] + 1
+                    stack.append((w, 0))
+                else:
+                    self.lowpt[e] = self.height[w]
+                    self._set_nesting(e)
+                    pe = self.parent_edge[v]
+                    if pe is not None:
+                        self._update_parent_lowpts(pe, e)
+        for v in range(self.n):
+            self.ordered_adjs[v] = sorted(
+                self.out_edges[v], key=lambda w: self.nesting_depth[(v, w)]
+            )
+            for w in self.out_edges[v]:
+                self.side[(v, w)] = 1
+                self.ref[(v, w)] = None
+
+    # ---- phase 2: testing ----
+
+    def _lowest(self, p: _ConflictPair) -> int:
+        assert not (p.left.empty() and p.right.empty())
+        if p.left.empty():
+            return self.lowpt[p.right.low]
+        if p.right.empty():
+            return self.lowpt[p.left.low]
+        return min(self.lowpt[p.left.low], self.lowpt[p.right.low])
+
+    def _conflicting(self, interval: _Interval, b) -> bool:
+        return not interval.empty() and self.lowpt[interval.high] > self.lowpt[b]
+
+    def _add_constraints(self, ei, e) -> bool:
+        p = _ConflictPair()
+        # merge return edges of ei into p.right
+        while True:
+            q = self.S.pop()
+            if not q.left.empty():
+                q.swap()
+            if not q.left.empty():
+                return False
+            if self.lowpt[q.right.low] > self.lowpt[e]:
+                if p.right.empty():
+                    p.right.high = q.right.high
+                else:
+                    self.ref[p.right.low] = q.right.high
+                p.right.low = q.right.low
+            else:
+                # align with the parent's low return edge
+                self.ref[q.right.low] = self.lowpt_edge[e]
+            if (self.S[-1] if self.S else None) is self.stack_bottom[ei]:
+                break
+        # merge conflicting return edges of earlier siblings into p.left
+        while self.S and (
+            self._conflicting(self.S[-1].left, ei)
+            or self._conflicting(self.S[-1].right, ei)
+        ):
+            q = self.S.pop()
+            if self._conflicting(q.right, ei):
+                q.swap()
+            if self._conflicting(q.right, ei):
+                return False
+            if p.right.low is not None:
+                self.ref[p.right.low] = q.right.high
+            else:
+                p.right.high = q.right.high
+            if q.right.low is not None:
+                p.right.low = q.right.low
+            if p.left.empty():
+                p.left.high = q.left.high
+            else:
+                self.ref[p.left.low] = q.left.high
+            p.left.low = q.left.low
+        if not (p.left.empty() and p.right.empty()):
+            self.S.append(p)
+        return True
+
+    def _remove_back_edges(self, e) -> None:
+        u = e[0]
+        while self.S and self._lowest(self.S[-1]) == self.height[u]:
+            p = self.S.pop()
+            if p.left.low is not None:
+                self.side[p.left.low] = -1
+        if self.S:
+            p = self.S.pop()
+            while p.left.high is not None and p.left.high[1] == u:
+                p.left.high = self.ref[p.left.high]
+            if p.left.high is None and p.left.low is not None:
+                self.ref[p.left.low] = p.right.low
+                self.side[p.left.low] = -1
+                p.left.low = None
+            while p.right.high is not None and p.right.high[1] == u:
+                p.right.high = self.ref[p.right.high]
+            if p.right.high is None and p.right.low is not None:
+                self.ref[p.right.low] = p.left.low
+                self.side[p.right.low] = -1
+                p.right.low = None
+            self.S.append(p)
+        if self.lowpt[e] < self.height[u]:
+            # e has a return edge; its side follows the highest one left
+            top = self.S[-1] if self.S else _ConflictPair()
+            hl = top.left.high
+            hr = top.right.high
+            if hl is not None and (hr is None or self.lowpt[hl] > self.lowpt[hr]):
+                self.ref[e] = hl
+            else:
+                self.ref[e] = hr
+
+    _ENTER = 0
+    _INTEGRATE = 1
+
+    def test(self) -> bool:
+        for root in self.roots:
+            stack: list[tuple[int, int, int]] = [(self._ENTER, root, 0)]
+            while stack:
+                tag, v, i = stack.pop()
+                if tag == self._ENTER:
+                    if i == len(self.ordered_adjs[v]):
+                        e = self.parent_edge[v]
+                        if e is not None:
+                            self._remove_back_edges(e)
+                        continue
+                    w = self.ordered_adjs[v][i]
+                    ei = (v, w)
+                    self.stack_bottom[ei] = self.S[-1] if self.S else None
+                    stack.append((self._ENTER, v, i + 1))
+                    stack.append((self._INTEGRATE, v, i))
+                    if self.parent_edge[w] == ei:
+                        stack.append((self._ENTER, w, 0))
+                    else:
+                        self.lowpt_edge[ei] = ei
+                        self.S.append(_ConflictPair(right=_Interval(ei, ei)))
+                else:
+                    w = self.ordered_adjs[v][i]
+                    ei = (v, w)
+                    if self.lowpt[ei] < self.height[v]:
+                        e = self.parent_edge[v]
+                        if i == 0:
+                            self.lowpt_edge[e] = self.lowpt_edge[ei]
+                        elif not self._add_constraints(ei, e):
+                            return False
+        return True
+
+    # ---- phase 3: embedding ----
+
+    def _resolved_side(self, e) -> int:
+        chain = []
+        cur = e
+        while self.ref[cur] is not None:
+            chain.append(cur)
+            cur = self.ref[cur]
+        sign = self.side[cur]
+        for edge in reversed(chain):
+            self.side[edge] *= sign
+            self.ref[edge] = None
+            sign = self.side[edge]
+        return self.side[e]
+
+    def embed(self) -> tuple[tuple[int, ...], ...]:
+        for v in range(self.n):
+            for w in self.out_edges[v]:
+                self._resolved_side((v, w))
+            self.ordered_adjs[v] = sorted(
+                self.out_edges[v],
+                key=lambda w: self.nesting_depth[(v, w)] * self.side[(v, w)],
+            )
+        rotation: list[list[int]] = [[] for _ in range(self.n)]
+        left_ref: dict[int, int] = {}
+        right_ref: dict[int, int] = {}
+        for root in self.roots:
+            stack = [(root, 0)]
+            while stack:
+                v, i = stack[-1]
+                if i == len(self.ordered_adjs[v]):
+                    stack.pop()
+                    continue
+                stack[-1] = (v, i + 1)
+                w = self.ordered_adjs[v][i]
+                ei = (v, w)
+                rotation[v].append(w)
+                if self.parent_edge[w] == ei:
+                    rotation[w].insert(0, v)
+                    left_ref[v] = w
+                    right_ref[v] = w
+                    stack.append((w, 0))
+                elif self.side[ei] == 1:
+                    pos = rotation[w].index(right_ref[w])
+                    rotation[w].insert(pos + 1, v)
+                else:
+                    pos = rotation[w].index(left_ref[w])
+                    rotation[w].insert(pos, v)
+                    left_ref[w] = v
+        return tuple(tuple(row) for row in rotation)
+
+
+def reference_decide(n: int, masks) -> bool:
+    """Planarity verdict of the reference left-right test, no shortcuts."""
+    if n <= 2:
+        return True
+    if sum(m.bit_count() for m in masks[:n]) // 2 > 3 * n - 6:
+        return False
+    lr = _LRTest(n, [bits(masks[v]) for v in range(n)])
+    lr.orient()
+    return lr.test()
+
+
+def reference_embedding(g: Graph):
+    """Rotation system of the reference test for a planar g, else None."""
+    if g.n <= 2:
+        return tuple(tuple(row) for row in g.adj)
+    if g.n >= 3 and g.m > 3 * g.n - 6:
+        return None
+    lr = _LRTest(g.n, g.adj)
+    lr.orient()
+    return lr.embed() if lr.test() else None
+
+
+def reference_minimize_witness(g: Graph) -> tuple[tuple[int, int], ...]:
+    """One-pass edge-minimal non-planar subgraph, decided by reference_decide."""
+    masks = list(g.masks)
+    kept = []
+    for u, v in g.edges():
+        masks[u] ^= 1 << v
+        masks[v] ^= 1 << u
+        if reference_decide(g.n, masks):
+            masks[u] ^= 1 << v
+            masks[v] ^= 1 << u
+            kept.append((u, v))
+    return tuple(kept)

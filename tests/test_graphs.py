@@ -40,6 +40,28 @@ def test_build_graph_rejects_bad_input():
         build_graph(-1, [])
 
 
+def test_graph_rejects_malformed_rows_naming_the_first_fault():
+    cases = [
+        (3, ((1,), (0,), (0,)), "edge (2,0) is not symmetric"),
+        (3, ((1, 2), (0,), ()), "edge (0,2) is not symmetric"),
+        (4, ((1, 3), (0,), (3,), (0,)), "edge (2,3) is not symmetric"),
+        (2, ((1,), (0, 0)), "adjacency of 1 is not strictly ascending"),
+        (2, ((0, 1), (0,)), "self-loop at 0"),
+        (2, ((1,), (2,)), "label 2 out of range in adjacency of 1"),
+        (2, ((-1, 1), (0,)), "adjacency of 0 is not strictly ascending"),
+        (3, ((1, 5), (0, 1), ()), "label 5 out of range in adjacency of 0"),
+        (3, ((1,), (0, 1), ()), "self-loop at 1"),
+        (2, ((1,),), "adjacency length does not match vertex count"),
+    ]
+    for n, adj, message in cases:
+        with pytest.raises(ValueError) as err:
+            Graph(n, adj)
+        assert str(err.value) == message
+    g = Graph(3, ((1, 2), (0,), (0,)))
+    assert g.masks == (0b110, 0b001, 0b001)
+    assert g == build_graph(3, [(0, 1), (0, 2)]) and repr(g) == "Graph(n=3, m=2)"
+
+
 def test_build_graph_collapses_duplicates():
     g = build_graph(2, [(0, 1), (1, 0), (0, 1)])
     assert g.m == 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -17,6 +18,7 @@ from planarext import (
     classify_kuratowski,
     complement,
     complete,
+    enumeration,
     euler_identity_holds,
     euler_reject,
     face_count,
@@ -25,10 +27,16 @@ from planarext import (
     pivotal_planar,
     star,
 )
-from planarext.graphs import disjoint_union, from_masks
+from planarext.graphs import component_counts, disjoint_union, from_masks
 from planarext.planarity import _decide
 
-from oracles import all_labeled_graphs, brute_is_planar
+from oracles import (
+    all_labeled_graphs,
+    brute_is_planar,
+    reference_decide,
+    reference_embedding,
+    reference_minimize_witness,
+)
 
 
 def test_exhaustive_agreement_n5():
@@ -94,6 +102,61 @@ def test_decide_on_disconnected_and_subdivided_input():
         assert is_planar(g).verdict == planar, g
     for n in range(5):
         assert all(_decide(n, masks) for masks in all_labeled_graphs(n))
+
+
+def _lr_corpus(monkeypatch):
+    """Seeded random graphs, the decide inputs of the n <= 7 census, pivotal_planar."""
+    rng = random.Random(2009)
+    graphs = []
+    for _ in range(1500):
+        n = rng.randint(3, 14)
+        p = rng.choice((0.1, 0.2, 0.3, 0.45, 0.6, 0.8))
+        graphs.append(
+            build_graph(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+        )
+    decide = enumeration._decide
+
+    def recorded_decide(n, masks):
+        graphs.append(from_masks(n, masks[:n]))
+        return decide(n, masks)
+
+    monkeypatch.setattr(enumeration, "_decide", recorded_decide)
+    for _ in enumeration._levels(7, 5, True):
+        pass
+    monkeypatch.undo()
+    graphs += [pivotal_planar(d, nu) for d in range(2, 11) for nu in range(2, 41)]
+    return graphs
+
+
+def test_lr_kernel_matches_reference(monkeypatch):
+    # the array-indexed kernel must give the dict-keyed reference's
+    # verdicts, rotation systems and minimal witnesses, not just valid ones
+    kinds = set()
+    for g in _lr_corpus(monkeypatch):
+        embedding = reference_embedding(g)
+        result = is_planar(g)
+        assert result.embedding == embedding, g.adj
+        assert _decide(g.n, g.masks) == reference_decide(g.n, g.masks)
+        if not result.verdict:
+            # is_planar's witness is the output of _minimize_witness
+            assert result.witness == reference_minimize_witness(g), g.adj
+        kinds.add((result.verdict, component_counts(g)[0] > 1))
+    assert kinds == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def test_pivotal_embeddings_pinned():
+    # rotation systems are part of the output; computed before the
+    # left-right kernel moved to integer edge ids
+    digest = hashlib.sha256()
+    for d in range(2, 11):
+        for nu in range(2, 41):
+            embedding = is_planar(pivotal_planar(d, nu)).embedding
+            digest.update(repr(embedding).encode("ascii"))
+    assert digest.hexdigest() == (
+        "165cdb27ab6101fd8ad6368ba820b8abb2ecb1b183c6c9fdcd894cd76d4758eb"
+    )
 
 
 def test_kuratowski_witnesses_classified():
@@ -168,7 +231,7 @@ def test_large_planar_unions():
 
 _OPTIMIZED_CHILD = """
 import sys
-from planarext import build_graph, constructions, planarity
+from planarext import build_graph, constructions, oracle, planarity
 
 
 def raises(label, call):
@@ -192,6 +255,19 @@ constructions.max_edges_planar = lambda d, nu: -1
 raises("pivotal_planar", lambda: constructions.pivotal_planar(5, 4))
 constructions.max_edges_general = lambda d, nu: -1
 raises("extremal_general", lambda: constructions.extremal_general(5, 4))
+real_oracle_matching_number = oracle.matching_number
+offered = set()
+
+
+def second_opinion(g):
+    # right when a graph is offered, off by one when its record is checked
+    mu = real_oracle_matching_number(g) + (g in offered)
+    offered.add(g)
+    return mu
+
+
+oracle.matching_number = second_opinion
+raises("component_table", lambda: oracle.component_table(4, 5))
 """
 
 
@@ -210,4 +286,5 @@ def test_certify_checks_survive_optimize():
         "atlas planarity",
         "pivotal_planar",
         "extremal_general",
+        "component_table",
     ]

@@ -2,22 +2,17 @@
 
 For graphs with maximum degree strictly below d and matching number
 strictly below nu, the library answers "how many edges can such a graph
-have?" in four nested settings: outerplanar, planar, general, and the
-coarse Vizing-style cap d*(nu-1). This script walks the formulas, shows
-the domination chain between them, and zooms in on d = 6 where the
-planar answer has period-7 steps instead of a single linear rule.
+have?" in three nested settings: outerplanar, planar and general. This
+script walks the formulas, shows the domination chain between them, and
+zooms in on d = 6 where the planar answer has period-7 steps instead of
+a single linear rule.
 
 Run: python3 demos/bounds_tour.py
 """
 
 from __future__ import annotations
 
-from planarext import (
-    max_edges_general,
-    max_edges_outerplanar,
-    max_edges_planar,
-    vizing_upper,
-)
+from planarext import max_edges_general, max_edges_outerplanar, max_edges_planar
 
 # ---------------------------------------------------------------------------
 # The planar bound across small parameter pairs. Rows are d, columns nu.
@@ -33,30 +28,27 @@ for d in range(2, 9):
 
 # ---------------------------------------------------------------------------
 # Domination chain: every outerplanar graph is planar, every planar graph
-# is a graph, and d*(nu-1) caps anything with a proper (d-1)-edge-coloring
-# argument. The bounds are ordered accordingly, pointwise.
+# is a graph. The bounds are ordered accordingly, pointwise.
 
-print("\ndomination chain outer <= planar <= general <= vizing")
+print("\ndomination chain outer <= planar <= general")
 for d in range(2, 12):
     for nu in range(1, 30):
         a = max_edges_outerplanar(d, nu)
         b = max_edges_planar(d, nu)
         c = max_edges_general(d, nu)
-        v = vizing_upper(d, nu)
-        assert a <= b <= c <= v, (d, nu)
+        assert a <= b <= c, (d, nu)
 print("checked for d in [2,11], nu in [1,29]: holds everywhere")
 
-# At d = 3 all four collapse: a triangle packing is simultaneously
+# At d = 3 all three collapse: a triangle packing is simultaneously
 # outerplanar-extremal, planar-extremal, and general-extremal.
 for nu in range(1, 20):
     vals = {
         max_edges_outerplanar(3, nu),
         max_edges_planar(3, nu),
         max_edges_general(3, nu),
-        vizing_upper(3, nu),
     }
     assert vals == {3 * (nu - 1)}, nu
-print("d = 3: all four bounds equal 3(nu-1)")
+print("d = 3: all three bounds equal 3(nu-1)")
 
 # ---------------------------------------------------------------------------
 # The d = 6 profile. Writing k = nu-1 = 7q + r, the bound is

@@ -45,7 +45,7 @@ k5 = complete(5)
 result = is_planar(k5)
 assert not result.verdict
 print(f"\nK5 witness edges: {sorted(result.witness)}")
-print(f"witness type: {classify_kuratowski(k5.n, result.witness)}")
+print(f"witness type: {classify_kuratowski(result.witness)}")
 
 # The witness is a genuine subgraph certificate: the edge set alone,
 # re-tested, is still non-planar.
@@ -65,7 +65,7 @@ for label, cyc in (("complement(C7)", c7), ("complement(C4+C3)", c4_c3)):
     h = complement(cyc)
     assert not euler_reject(h)
     result = is_planar(h)
-    kind = classify_kuratowski(h.n, result.witness)
+    kind = classify_kuratowski(result.witness)
     print(f"\n{label}: planar={result.verdict} witness={kind}")
     print(f"  witness edges: {sorted(result.witness)}")
 

@@ -11,12 +11,7 @@ serialization, degree-sequence realization) is exported alongside.
 
 from __future__ import annotations
 
-from .bounds import (
-    max_edges_general,
-    max_edges_outerplanar,
-    max_edges_planar,
-    vizing_upper,
-)
+from .bounds import max_edges_general, max_edges_outerplanar, max_edges_planar
 from .canon import canonical_form
 from .coloring import (
     EdgeColoring,
@@ -28,7 +23,6 @@ from .coloring import (
 )
 from .constructions import (
     AtlasName,
-    ClassParams,
     atlas,
     complete,
     extremal_general,
@@ -44,7 +38,6 @@ from .graphs import (
     complement,
     connected_components,
     degree_stats,
-    delete_vertex,
     disjoint_union,
     induced_subgraph,
     is_connected,
@@ -88,7 +81,6 @@ __all__ = [
     "AtlasName",
     "BudgetExceededError",
     "CertificateReport",
-    "ClassParams",
     "ComponentRecord",
     "DegreeSequence",
     "EdgeColoring",
@@ -112,7 +104,6 @@ __all__ = [
     "component_table",
     "connected_components",
     "degree_stats",
-    "delete_vertex",
     "disjoint_union",
     "dot_export",
     "enumerate_connected",
@@ -140,5 +131,4 @@ __all__ = [
     "star",
     "verify_theorem",
     "vizing_color",
-    "vizing_upper",
 ]

@@ -40,9 +40,3 @@ def max_edges_outerplanar(d: int, nu: int) -> int:
     k = nu - 1
     return 3 * k if d == 3 else (d - 1) * k
 
-
-def vizing_upper(d: int, nu: int) -> int:
-    """Coarse edge-partition bound d·(nu-1), an upper bound for every class."""
-    if d < 2 or nu < 1:
-        return 0
-    return d * (nu - 1)

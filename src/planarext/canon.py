@@ -122,7 +122,8 @@ def canonical_form_masks(
             search(child)
 
     search(start)
-    assert best is not None
+    if best is None:
+        raise AssertionError("canonical search reached no leaf")
     return bytes([n]) + best
 
 

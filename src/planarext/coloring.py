@@ -105,7 +105,8 @@ def vizing_color(g: Graph) -> EdgeColoring:
                 del color[key(a, b)]
             for a, b, old in path:
                 assign(a, b, c if old == d else d)
-        assert d not in at[u]
+        if d in at[u]:
+            raise AssertionError(f"color {d} still used at {u} after the path flip")
         # first fan prefix that is still a fan and ends where d is free
         j = None
         for i, w in enumerate(fan):
@@ -116,7 +117,8 @@ def vizing_color(g: Graph) -> EdgeColoring:
             if d not in at[w]:
                 j = i
                 break
-        assert j is not None, "fan rotation target must exist"
+        if j is None:
+            raise AssertionError("fan rotation target must exist")
         shift = [color[key(u, fan[i + 1])] for i in range(j)]
         for i in range(j):
             # uncolor before reassigning; shifting in place would clobber at[u]
@@ -128,7 +130,8 @@ def vizing_color(g: Graph) -> EdgeColoring:
         assign(u, fan[j], d)
 
     palette = max(color.values(), default=-1) + 1
-    assert palette <= delta + 1
+    if palette > delta + 1:
+        raise AssertionError(f"{palette} colors exceed Δ+1 = {delta + 1}")
     return EdgeColoring(g, color, palette)
 
 
@@ -167,7 +170,8 @@ def chromatic_index_exact(g: Graph) -> int:
 
     if colorable(delta):
         return delta
-    assert vizing_color(g).palette_size <= delta + 1
+    if vizing_color(g).palette_size > delta + 1:
+        raise AssertionError(f"vizing_color exceeds Δ+1 = {delta + 1} colors")
     return delta + 1
 
 

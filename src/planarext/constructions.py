@@ -11,25 +11,13 @@ planar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .bounds import max_edges_general, max_edges_planar
 from .graphs import Graph, build_graph, degree_stats, disjoint_union
 from .matching import matching_number
 from .planarity import is_planar
-
-
-@dataclass(frozen=True)
-class ClassParams:
-    """Parameters (d, nu) of a class: graphs with Δ < d and ν < nu."""
-
-    d: int
-    nu: int
-
-    def __post_init__(self) -> None:
-        if self.d < 1 or self.nu < 1:
-            raise ValueError("class parameters must be at least 1")
 
 
 class AtlasName(Enum):
@@ -136,8 +124,6 @@ _ATLAS_STATS: dict[AtlasName, tuple[int, int, int, int]] = {
     AtlasName.A7: (15, 37, 5, 7),
 }
 
-_ATLAS_CACHE: dict[AtlasName, Graph] = {}
-
 
 def _build_atlas(name: AtlasName) -> Graph:
     if name is AtlasName.K5_MINUS:
@@ -151,6 +137,18 @@ def _build_atlas(name: AtlasName) -> Graph:
     return build_graph(len(labels), edges)
 
 
+@cache
+def _checked_atlas(name: AtlasName) -> Graph:
+    g = _build_atlas(name)
+    n, m, maxdeg, nu = _ATLAS_STATS[name]
+    got = (g.n, g.m, degree_stats(g)[0], matching_number(g))
+    if got != (n, m, maxdeg, nu):
+        raise AssertionError(f"{name.value}: {got} != {(n, m, maxdeg, nu)}")
+    if not is_planar(g).verdict:
+        raise AssertionError(f"{name.value}: transcription is non-planar")
+    return g
+
+
 def atlas(name: AtlasName | str) -> Graph:
     """One of the five transcribed extremal graphs, statistics re-verified.
 
@@ -158,37 +156,17 @@ def atlas(name: AtlasName | str) -> Graph:
     order, size, maximum degree, matching number and planarity against the
     published values and raises AssertionError on any mismatch.
     """
-    name = AtlasName(name)
-    if name not in _ATLAS_CACHE:
-        g = _build_atlas(name)
-        n, m, maxdeg, nu = _ATLAS_STATS[name]
-        got = (g.n, g.m, degree_stats(g)[0], matching_number(g))
-        if got != (n, m, maxdeg, nu):
-            raise AssertionError(f"{name.value}: {got} != {(n, m, maxdeg, nu)}")
-        if not is_planar(g).verdict:
-            raise AssertionError(f"{name.value}: transcription is non-planar")
-        _ATLAS_CACHE[name] = g
-    return _ATLAS_CACHE[name]
+    # normalised first, so that a bad name is a ValueError, not a cache key
+    return _checked_atlas(AtlasName(name))
 
 
-def _unpack(params: ClassParams | int, nu: int | None) -> tuple[int, int]:
-    if isinstance(params, ClassParams):
-        if nu is not None:
-            raise TypeError("pass either ClassParams or two integers, not both")
-        return params.d, params.nu
-    if nu is None:
-        raise TypeError("missing nu")
-    return params, nu
-
-
-def pivotal_planar(params: ClassParams | int, nu: int | None = None) -> Graph:
+def pivotal_planar(d: int, nu: int) -> Graph:
     """The planar extremal family for (d, nu): meets max_edges_planar exactly.
 
     Disjoint union, largest components first: triangles for d=3, K'_4 or
     K5 minus an edge plus a leftover star for d in {4,5}, copies of A7
     with an A4/star remainder for d=6, and bare (d-1)-stars otherwise.
     """
-    d, nu = _unpack(params, nu)
     k = nu - 1
     if d < 2 or k < 1:
         return build_graph(0, [])
@@ -217,13 +195,12 @@ def pivotal_planar(params: ClassParams | int, nu: int | None = None) -> Graph:
     return g
 
 
-def extremal_general(params: ClassParams | int, nu: int | None = None) -> Graph:
+def extremal_general(d: int, nu: int) -> Graph:
     """The unrestricted extremal family: meets max_edges_general exactly.
 
     With nu-1 = q*ceil((d-1)/2) + r, returns q copies of K'_d (d even) or
     K_d (d odd) followed by r stars K_{1,d-1}. Not planar in general.
     """
-    d, nu = _unpack(params, nu)
     k = nu - 1
     if d < 2 or k < 1:
         return build_graph(0, [])

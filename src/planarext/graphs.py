@@ -214,10 +214,3 @@ def component_counts(g: Graph) -> tuple[int, int]:
 def is_connected(g: Graph) -> bool:
     return g.n <= 1 or component_counts(g)[0] == 1
 
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    """Remove vertex v and relabel the rest contiguously, preserving order."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    keep = [u for u in range(g.n) if u != v]
-    return induced_subgraph(g, keep)

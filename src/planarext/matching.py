@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, delete_vertex
+from .graphs import Graph, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -156,4 +156,7 @@ def is_factor_critical(g: Graph) -> bool:
         return False
     if g.n == 1:
         return True
-    return all(has_perfect_matching(delete_vertex(g, v)) for v in range(g.n))
+    return all(
+        has_perfect_matching(induced_subgraph(g, [u for u in range(g.n) if u != v]))
+        for v in range(g.n)
+    )

@@ -80,13 +80,15 @@ class FalsificationError(RuntimeError):
 _Best = dict[int, tuple[int, bytes, Graph]]  # mu -> (edges, canon, witness)
 
 
-def _offer(best: _Best, g: Graph, form: bytes) -> None:
+def _offer(best: _Best, g: Graph, form: bytes) -> int | None:
+    """File g under its matching number mu and return mu (None when mu < 1)."""
     mu = matching_number(g)
     if mu < 1:
-        return
+        return None
     cur = best.get(mu)
     if cur is None or g.m > cur[0] or (g.m == cur[0] and form < cur[1]):
         best[mu] = (g.m, form, g)
+    return mu
 
 
 def _subtree_worker(
@@ -108,9 +110,10 @@ def _subtree_worker(
 def _merge_sidecar(best: _Best, payload: dict[str, list]) -> None:
     for mu_text, (edges, g6) in payload.items():
         g = graph6_decode(g6)
-        _offer(best, g, canonical_form(g))
-        if best[int(mu_text)][0] < edges:
-            raise AssertionError(f"checkpointed witness for mu={mu_text} lost edges")
+        if _offer(best, g, canonical_form(g)) != int(mu_text) or g.m != edges:
+            raise ValueError(
+                f"checkpoint record for mu={mu_text} does not match its witness"
+            )
 
 
 def _load_checkpoint(path: str, d: int, n_max: int) -> dict[str, dict[str, list]]:
@@ -192,7 +195,8 @@ def component_table(
             # imported here so that importing the package stays cheap
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=workers)
+            # at most one process per job: the pool may fork them all up front
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(jobs)))
         with pool as executor:
             run = executor.map if executor else map
             for (_root, form, *_), result in zip(jobs, run(_subtree_worker, jobs)):

@@ -350,7 +350,7 @@ def _minimize_witness(g: Graph) -> tuple[tuple[int, int], ...]:
     return tuple(kept)
 
 
-def classify_kuratowski(n: int, witness: tuple[tuple[int, int], ...]) -> str:
+def classify_kuratowski(witness: tuple[tuple[int, int], ...]) -> str:
     """Suppress degree-2 vertices of a witness; expect exactly K5 or K3,3.
 
     Returns "K5" or "K33"; raises ValueError when the edge set is not a
@@ -445,7 +445,7 @@ def is_planar(g: Graph) -> PlanarityResult:
         planar = lr.test()
     if not planar:
         witness = _minimize_witness(g)
-        if classify_kuratowski(g.n, witness) not in ("K5", "K33"):
+        if classify_kuratowski(witness) not in ("K5", "K33"):
             raise AssertionError("non-planar witness is not a Kuratowski subdivision")
         return PlanarityResult(False, None, witness)
     embedding = lr.embed()

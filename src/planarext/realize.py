@@ -78,10 +78,13 @@ def realize_degree_sequence_planar(
 ) -> RealizeResult:
     """Find a planar graph with the given degree sequence, or prove none exists.
 
-    `budget` is a wall-clock allowance in seconds (None for unlimited).
-    Returns a RealizeResult whose status is "found" (graph attached),
-    "exhausted" (no planar realization exists), or "timed-out".
+    `budget` is a wall-clock allowance in seconds (None for unlimited);
+    NaN or a negative budget raises ValueError. Returns a RealizeResult
+    whose status is "found" (graph attached), "exhausted" (no planar
+    realization exists), or "timed-out".
     """
+    if budget is not None and not budget >= 0:
+        raise ValueError(f"budget must be nonnegative seconds, got {budget}")
     if not isinstance(seq, DegreeSequence):
         seq = DegreeSequence(seq)
     target = list(seq.entries)
@@ -101,7 +104,8 @@ def realize_degree_sequence_planar(
         need = rem[pivot]
         if need == 0:
             g = from_masks(n, masks)
-            assert is_planar(g).verdict
+            if not is_planar(g).verdict:
+                raise AssertionError("realized graph is not planar")
             return g
         cands = [
             u

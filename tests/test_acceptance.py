@@ -104,7 +104,7 @@ def test_criterion_4_no_planar_four_regular_on_seven():
     for g in (complement(c7), complement(c4_c3)):
         result = is_planar(g)
         assert not result.verdict
-        assert classify_kuratowski(g.n, result.witness) in ("K5", "K33")
+        assert classify_kuratowski(result.witness) in ("K5", "K33")
         _REGISTRY.append(g)
     outcome = realize_degree_sequence_planar([4] * 7, budget=25.0)
     assert outcome.status == "exhausted"

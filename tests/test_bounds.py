@@ -1,11 +1,6 @@
 from __future__ import annotations
 
-from planarext import (
-    max_edges_general,
-    max_edges_outerplanar,
-    max_edges_planar,
-    vizing_upper,
-)
+from planarext import max_edges_general, max_edges_outerplanar, max_edges_planar
 
 
 def test_published_planar_values():
@@ -66,10 +61,9 @@ def test_domination_chain():
             outer = max_edges_outerplanar(d, nu)
             planar = max_edges_planar(d, nu)
             general = max_edges_general(d, nu)
-            vizing = vizing_upper(d, nu)
-            assert outer <= planar <= general <= vizing
+            assert outer <= planar <= general
             if d == 3:
-                assert outer == planar == general == vizing
+                assert outer == planar == general
 
 
 def test_monotonicity():

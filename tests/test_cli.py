@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from planarext import atlas, graph6_decode, graph6_encode, max_edges_planar
+from planarext import atlas, graph6_decode, graph6_encode, max_edges_planar, oracle
 from planarext.cli import main
 from planarext.oracle import FalsificationError
 
@@ -151,11 +151,29 @@ def test_usage_errors_exit_one(capsys):
         ["verify", "--d", "3", "--nu", "6", "--n-max", "5", "--workers", "0"],
         ["table", "--d", "6", "--n-max", "11"],
         ["verify", "--d", "6", "--nu", "4", "--n-max", "11", "--workers", "2"],
+        ["realize", "4^6", "--timeout", "nan"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert out == ""
         assert err.startswith("planarext: error: ") and err.count("\n") == 1
+
+
+def test_checkpoint_record_under_wrong_mu_exits_one(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "check.txt")
+    argv = ["verify", "--d", "4", "--nu", "3", "--n-max", "7", "--checkpoint", path]
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    sidecar = tmp_path / "check.txt.results.json"
+    data = json.loads(sidecar.read_text())
+    payload = next(p for p in data["roots"].values() if "3" in p)
+    payload["8"] = payload.pop("3")
+    sidecar.write_text(json.dumps(data))
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "planarext: error: checkpoint record for mu=8 does not match its witness\n"
 
 
 def test_entry_point_help(capsys):

@@ -4,7 +4,6 @@ import pytest
 
 from planarext import (
     AtlasName,
-    ClassParams,
     atlas,
     certificate,
     complete,
@@ -16,7 +15,6 @@ from planarext import (
     k_prime,
     matching_number,
     max_edges_general,
-    max_edges_planar,
     pivotal_planar,
     star,
 )
@@ -107,15 +105,6 @@ def test_pivotal_edge_cases():
     assert degree_stats(g)[0] == 1
     g = pivotal_planar(3, 5)  # four triangles
     assert g.n == 12 and g.m == 12
-
-
-def test_class_params_validation():
-    p = ClassParams(5, 7)
-    assert pivotal_planar(p).m == max_edges_planar(5, 7)
-    with pytest.raises(ValueError):
-        ClassParams(5, 0)
-    with pytest.raises(ValueError):
-        ClassParams(0, 5)
 
 
 def test_extremal_general_grid():

@@ -11,7 +11,6 @@ from planarext import (
     complement,
     connected_components,
     degree_stats,
-    delete_vertex,
     disjoint_union,
     induced_subgraph,
     is_connected,
@@ -134,14 +133,6 @@ def test_component_counts_match_components():
         edgeless = sum(1 for c, _ in comps if c.m == 0)
         assert component_counts(g) == (len(comps), edgeless)
         assert is_connected(g) == (len(comps) <= 1)
-
-
-def test_delete_vertex():
-    g = build_graph(3, [(0, 1), (1, 2)])
-    h = delete_vertex(g, 1)
-    assert h.n == 2 and h.m == 0
-    with pytest.raises(ValueError):
-        delete_vertex(g, 5)
 
 
 def test_degree_sequence_validation():

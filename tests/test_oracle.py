@@ -190,6 +190,59 @@ def test_checkpoint_parameter_mismatch(tmp_path):
     oracle_module._TABLE_CACHE.pop((4, 7), None)
 
 
+def test_checkpoint_record_that_disagrees_with_its_key(tmp_path, monkeypatch):
+    path = tmp_path / "check.txt"
+    sidecar = tmp_path / "check.txt.results.json"
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    component_table(4, 7, checkpoint=str(path))
+    clean = sidecar.read_text()
+
+    def moved(payload):
+        payload["8"] = payload.pop("3")
+
+    def shrunk(payload):
+        payload["3"][0] -= 1
+
+    def grown(payload):
+        payload["3"][0] += 1
+
+    for corrupt in (moved, shrunk, grown):
+        data = json.loads(clean)
+        corrupt(next(p for p in data["roots"].values() if "3" in p))
+        sidecar.write_text(json.dumps(data))
+        monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+        with pytest.raises(ValueError, match="does not match its witness"):
+            component_table(4, 7, checkpoint=str(path))
+
+
+def test_worker_count_is_capped_by_pending_roots(monkeypatch):
+    # a fork pool starts every worker at the first submit: never ask for
+    # more processes than there are roots to run
+    import concurrent.futures
+
+    seen = {}
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen["max_workers"] = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            seen["jobs"] = len(jobs)
+            return map(fn, jobs)
+
+    serial = component_table(4, 7)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    assert component_table(4, 7, workers=10_000) == serial
+    assert 1 < seen["max_workers"] <= seen["jobs"]
+
+
 def test_rejects_degenerate_d():
     with pytest.raises(ValueError):
         component_table(1, 5)

@@ -49,7 +49,7 @@ def test_exhaustive_agreement_n5():
         if result.verdict:
             planar_forms.add(canonical_form(g))
         else:
-            assert classify_kuratowski(g.n, result.witness) in ("K5", "K33")
+            assert classify_kuratowski(result.witness) in ("K5", "K33")
     assert len(planar_forms) == 33
 
 
@@ -163,22 +163,22 @@ def test_kuratowski_witnesses_classified():
     k5 = complete(5)
     r5 = is_planar(k5)
     assert not r5.verdict
-    assert classify_kuratowski(k5.n, r5.witness) == "K5"
+    assert classify_kuratowski(r5.witness) == "K5"
     k33 = build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
     r33 = is_planar(k33)
     assert not r33.verdict
-    assert classify_kuratowski(k33.n, r33.witness) == "K33"
+    assert classify_kuratowski(r33.witness) == "K33"
     # witnesses stay classifiable with extra structure around the core
     c7 = build_graph(7, [(i, (i + 1) % 7) for i in range(7)])
     for g in (complement(c7),):
         r = is_planar(g)
         assert not r.verdict
-        assert classify_kuratowski(g.n, r.witness) in ("K5", "K33")
+        assert classify_kuratowski(r.witness) in ("K5", "K33")
 
 
 def test_classify_rejects_non_witness():
     with pytest.raises(ValueError):
-        classify_kuratowski(3, ((0, 1), (1, 2)))
+        classify_kuratowski(((0, 1), (1, 2)))
 
 
 def test_embeddings_satisfy_euler():
@@ -231,7 +231,8 @@ def test_large_planar_unions():
 
 _OPTIMIZED_CHILD = """
 import sys
-from planarext import build_graph, constructions, oracle, planarity
+from types import SimpleNamespace
+from planarext import build_graph, coloring, constructions, oracle, planarity, realize
 
 
 def raises(label, call):
@@ -268,6 +269,15 @@ def second_opinion(g):
 
 oracle.matching_number = second_opinion
 raises("component_table", lambda: oracle.component_table(4, 5))
+realize.is_planar = lambda g: planarity.PlanarityResult(False, None, None)
+raises("realize", lambda: realize.realize_degree_sequence_planar([4] * 6))
+triangle = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+real_degree_stats = coloring.degree_stats
+coloring.degree_stats = lambda g: (0, real_degree_stats(g)[1])
+raises("vizing_color", lambda: coloring.vizing_color(triangle))
+coloring.degree_stats = real_degree_stats
+coloring.vizing_color = lambda g: SimpleNamespace(palette_size=99)
+raises("chromatic_index_exact", lambda: coloring.chromatic_index_exact(triangle))
 """
 
 
@@ -287,4 +297,7 @@ def test_certify_checks_survive_optimize():
         "pivotal_planar",
         "extremal_general",
         "component_table",
+        "realize",
+        "vizing_color",
+        "chromatic_index_exact",
     ]

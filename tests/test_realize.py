@@ -75,3 +75,8 @@ def test_timeout_is_a_result():
     result = realize_degree_sequence_planar([4] * 7, budget=0.0)
     assert result.status == "timed-out"
     assert result.graph is None
+    assert realize_degree_sequence_planar([4] * 7, budget=float("inf")).status == "exhausted"
+    # NaN compares false against the clock, so it would never time out
+    for budget in (float("nan"), -1.0, float("-inf")):
+        with pytest.raises(ValueError, match="budget"):
+            realize_degree_sequence_planar([5] * 10 + [4], budget=budget)

@@ -6,7 +6,9 @@ is the classic one: iterate an equitable color refinement, individualize
 one vertex of the first non-singleton cell, recurse, and keep the minimum
 leaf encoding. Interchangeable vertices (swapping them is visibly an
 automorphism) are branched only once, which keeps complete graphs and
-other locally symmetric cases from exploding.
+other locally symmetric cases from exploding. The same search also
+yields generators of the automorphism group: the pruned transpositions
+and one map per leaf that ties the first leaf's encoding.
 
 Intended scale is the desk scale of this package (up to ~16 vertices);
 no attempt is made to compete with real canonical-labeling tools.
@@ -77,11 +79,19 @@ def _swap_equivalent(masks: Sequence[int], u: int, v: int) -> bool:
     return (masks[u] & ~(1 << v)) == (masks[v] & ~(1 << u))
 
 
-def canonical_form_masks(
+def _canonical_search(
     n: int, masks: Sequence[int], colors: Sequence[int] | None = None
-) -> bytes:
+) -> tuple[bytes, list[list[int]]]:
+    """Canonical form and generators of the color-preserving Aut(G).
+
+    A generator is a permutation list, perm[v] the image of v. They are
+    the twin transpositions the search prunes by, plus the map from the
+    first leaf to every later leaf that packs to the same bits. Every leaf
+    of the unpruned tree is the image of a visited leaf under twin
+    transpositions, so together they generate the whole group.
+    """
     if n == 0:
-        return bytes([0])
+        return bytes([0]), []
     if n > 255:
         raise ValueError("canonical_form supports at most 255 vertices")
     base = list(colors) if colors is not None else None
@@ -91,9 +101,12 @@ def canonical_form_masks(
     neighbors = [bits(masks[v]) for v in range(n)]
     start = list(base) if base is not None else [0] * n
     best: bytes | None = None
+    first: tuple[bytes, list[int]] | None = None
+    gens: list[list[int]] = []
+    twins: set[tuple[int, int]] = set()
 
     def search(colors: list[int]) -> None:
-        nonlocal best
+        nonlocal best, first
         colors = _refine(n, neighbors, colors)
         # refined colors are the ranks 0..k-1, so k == n means discrete
         if max(colors) == n - 1:
@@ -103,6 +116,13 @@ def canonical_form_masks(
             cand = _pack_bits(n, masks, order)
             if base is not None:
                 cand = bytes(base[v] for v in order) + cand
+            if first is None:
+                first = (cand, order)
+            elif cand == first[0] and order != first[1]:
+                perm = [0] * n
+                for v, w in zip(first[1], order):
+                    perm[v] = w
+                gens.append(perm)
             if best is None or cand < best:
                 best = cand
             return
@@ -114,7 +134,9 @@ def canonical_form_masks(
         cell = [v for v in range(n) if colors[v] == target]
         tried: list[int] = []
         for v in cell:
-            if any(_swap_equivalent(masks, v, u) for u in tried):
+            twin = next((u for u in tried if _swap_equivalent(masks, v, u)), None)
+            if twin is not None:
+                twins.add((twin, v))
                 continue
             tried.append(v)
             child = [c * 2 + 1 for c in colors]
@@ -124,7 +146,17 @@ def canonical_form_masks(
     search(start)
     if best is None:
         raise AssertionError("canonical search reached no leaf")
-    return bytes([n]) + best
+    for u, v in twins:
+        perm = list(range(n))
+        perm[u], perm[v] = v, u
+        gens.append(perm)
+    return bytes([n]) + best, gens
+
+
+def canonical_form_masks(
+    n: int, masks: Sequence[int], colors: Sequence[int] | None = None
+) -> bytes:
+    return _canonical_search(n, masks, colors)[0]
 
 
 def canonical_form(g: Graph, colors: Sequence[int] | None = None) -> bytes:

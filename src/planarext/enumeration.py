@@ -6,8 +6,14 @@ one maximising a cheap degree invariant, ties settled by vertex-marked
 canonical forms). Extending every graph by one new vertex joined to each
 admissible subset, and keeping only extensions where the new vertex is a
 valid designated deletion, yields exactly one representative per
-isomorphism class. Planarity prunes hereditarily: the edge-count bound
-rejects during extension and the exact test runs on accepted children.
+isomorphism class. Accepted children of one parent are isomorphic iff
+their neighbour subsets share an Aut(parent) orbit, so one canonical
+search per parent, for its automorphism generators, drops the duplicates;
+the first accepted subset of each orbit is kept. Children carry no form:
+_levels computes one per graph for its sort, and the oracle only where an
+edge-count tie needs it. Planarity prunes hereditarily: the edge-count
+bound rejects during extension and the exact test runs on the distinct
+accepted children.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Iterator
 
 from itertools import combinations
 
-from .canon import _swap_equivalent, canonical_form_masks
+from .canon import _canonical_search, _swap_equivalent, canonical_form_masks
 from .graphs import Graph, bits, from_masks
 from .planarity import _decide
 
@@ -113,45 +119,62 @@ def _accepts_new_vertex(n: int, masks: tuple[int, ...]) -> bool:
 
 def _children(
     n: int, masks: tuple[int, ...], deg_max: int, planar_only: bool
-) -> list[tuple[tuple[int, ...], bytes]]:
-    """Accepted one-vertex extensions, deduplicated, sorted by canonical form."""
+) -> list[tuple[int, ...]]:
+    """Accepted one-vertex extensions, one per isomorphism class.
+
+    Two accepted children are isomorphic iff their neighbour subsets lie
+    in one Aut(parent) orbit, so the first accepted subset of each orbit
+    stands for it and one search of the parent replaces a form per child.
+    """
     m = sum(masks[v].bit_count() for v in range(n)) // 2
     eligible = [v for v in range(n) if masks[v].bit_count() < deg_max]
     child_n = n + 1
-    seen: set[bytes] = set()
-    out: list[tuple[tuple[int, ...], bytes]] = []
+    zbit = 1 << n
+    gens = _canonical_search(n, masks)[1]
+    seen: set[int] = set()
+    out: list[tuple[int, ...]] = []
     for size in range(1, min(deg_max, len(eligible)) + 1):
         if planar_only and child_n >= 3 and m + size > 3 * child_n - 6:
             break
         for subset in combinations(eligible, size):
-            zbit = 1 << n
+            row = sum(1 << v for v in subset)
             child = tuple(
-                masks[v] | zbit if v in subset else masks[v] for v in range(n)
-            ) + (sum(1 << v for v in subset),)
-            if not _accepts_new_vertex(child_n, child):
+                masks[v] | zbit if row >> v & 1 else masks[v] for v in range(n)
+            ) + (row,)
+            if not _accepts_new_vertex(child_n, child) or row in seen:
                 continue
-            form = canonical_form_masks(child_n, child)
-            if form in seen:
-                continue
-            seen.add(form)
+            # mark the whole orbit of row under the generators seen
+            seen.add(row)
+            orbit = [row]
+            for s in orbit:
+                for perm in gens:
+                    image = 0
+                    for v in bits(s):
+                        image |= 1 << perm[v]
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append(image)
             if planar_only and not _decide(child_n, child):
                 continue
-            out.append((child, form))
-    out.sort(key=lambda item: item[1])
+            out.append(child)
     return out
 
 
 def _levels(
     n_max: int, deg_max: int, planar_only: bool
 ) -> Iterator[list[tuple[tuple[int, ...], bytes]]]:
+    """Each order's graphs with their canonical forms, sorted by form."""
     level: list[tuple[tuple[int, ...], bytes]] = [((0,), canonical_form_masks(1, (0,)))]
     yield level
     for _ in range(n_max - 1):
-        nxt: list[tuple[tuple[int, ...], bytes]] = []
-        for masks, _form in level:
-            nxt.extend(_children(len(masks), masks, deg_max, planar_only))
-        nxt.sort(key=lambda item: item[1])
-        level = nxt
+        level = sorted(
+            (
+                (child, canonical_form_masks(len(child), child))
+                for masks, _form in level
+                for child in _children(len(masks), masks, deg_max, planar_only)
+            ),
+            key=lambda item: item[1],
+        )
         yield level
 
 

@@ -77,17 +77,30 @@ class FalsificationError(RuntimeError):
         self.formula_value = formula_value
 
 
-_Best = dict[int, tuple[int, bytes, Graph]]  # mu -> (edges, canon, witness)
+_Best = dict[int, tuple[int, bytes | None, Graph]]  # mu -> (edges, canon, witness)
 
 
-def _offer(best: _Best, g: Graph, form: bytes) -> int | None:
-    """File g under its matching number mu and return mu (None when mu < 1)."""
+def _offer(best: _Best, g: Graph, form: bytes | None = None) -> int | None:
+    """File g under its matching number mu and return mu (None when mu < 1).
+
+    The smaller canonical form wins an edge-count tie. Forms are computed
+    only there, for whichever side does not have one yet.
+    """
     mu = matching_number(g)
     if mu < 1:
         return None
     cur = best.get(mu)
-    if cur is None or g.m > cur[0] or (g.m == cur[0] and form < cur[1]):
+    if cur is None or g.m > cur[0]:
         best[mu] = (g.m, form, g)
+    elif g.m == cur[0]:
+        edges, cur_form, witness = cur
+        if cur_form is None:
+            cur_form = canonical_form(witness)
+            best[mu] = (edges, cur_form, witness)
+        if form is None:
+            form = canonical_form(g)
+        if form < cur_form:
+            best[mu] = (g.m, form, g)
     return mu
 
 
@@ -97,20 +110,45 @@ def _subtree_worker(
     """Best per-mu results over one generation subtree (root included)."""
     root, root_form, n_max, deg_max = args
     best: _Best = {}
-    stack = [(root, root_form)]
+    _offer(best, from_masks(len(root), root), root_form)
+    stack = [root]
     while stack:
-        masks, form = stack.pop()
+        masks = stack.pop()
         n = len(masks)
-        _offer(best, from_masks(n, masks), form)
         if n < n_max:
-            stack.extend(_children(n, masks, deg_max, True))
+            for child in _children(n, masks, deg_max, True):
+                _offer(best, from_masks(n + 1, child))
+                stack.append(child)
     return {str(mu): [e, graph6_encode(g)] for mu, (e, _f, g) in best.items()}
 
 
-def _merge_sidecar(best: _Best, payload: dict[str, list]) -> None:
-    for mu_text, (edges, g6) in payload.items():
+def _merge_sidecar(best: _Best, payload: dict[str, list], d: int) -> None:
+    """File one root's records; raise ValueError on a record that is not sound.
+
+    A record is an [edges, graph6] pair under a decimal mu key, and its
+    witness must be a connected planar graph with max degree below d,
+    with that matching number and that many edges.
+    """
+    for mu_text, record in payload.items():
+        if not (
+            mu_text.isascii()
+            and mu_text.isdigit()
+            and isinstance(record, list)
+            and len(record) == 2
+            and type(record[0]) is int
+            and isinstance(record[1], str)
+        ):
+            raise ValueError(
+                f"checkpoint record for mu={mu_text!r} is not an [edges, graph6] pair"
+            )
+        edges, g6 = record
         g = graph6_decode(g6)
-        if _offer(best, g, canonical_form(g)) != int(mu_text) or g.m != edges:
+        if not (is_connected(g) and degree_stats(g)[0] < d and is_planar(g).verdict):
+            raise ValueError(
+                f"checkpoint witness for mu={mu_text} is not a connected planar "
+                f"graph with max degree below {d}"
+            )
+        if _offer(best, g) != int(mu_text) or g.m != edges:
             raise ValueError(
                 f"checkpoint record for mu={mu_text} does not match its witness"
             )
@@ -122,6 +160,11 @@ def _load_checkpoint(path: str, d: int, n_max: int) -> dict[str, dict[str, list]
         return {}
     with open(sidecar, "r", encoding="ascii") as fh:
         data = json.load(fh)
+    roots = data.get("roots", {}) if isinstance(data, dict) else None
+    if not isinstance(roots, dict) or not all(
+        isinstance(payload, dict) for payload in roots.values()
+    ):
+        raise ValueError(f"checkpoint sidecar {sidecar} does not map roots to records")
     if data.get("d") != d or data.get("n_max") != n_max:
         raise ValueError(
             f"checkpoint {path} was written for d={data.get('d')}, "
@@ -129,7 +172,6 @@ def _load_checkpoint(path: str, d: int, n_max: int) -> dict[str, dict[str, list]
         )
     with open(path, "r", encoding="ascii") as fh:
         done_lines = {line.strip() for line in fh if line.strip()}
-    roots = data.get("roots", {})
     return {hex_form: roots[hex_form] for hex_form in done_lines if hex_form in roots}
 
 
@@ -204,10 +246,9 @@ def component_table(
                 if checkpoint:
                     _save_checkpoint(checkpoint, d, n_max, done)
         for payload in done.values():
-            _merge_sidecar(best, payload)
+            _merge_sidecar(best, payload, d)
     if d > n_max:
-        g = star(d - 1)
-        _offer(best, g, canonical_form(g))
+        _offer(best, star(d - 1))
     records = []
     for mu in sorted(best):
         edges, _form, witness = best[mu]

@@ -14,6 +14,10 @@ Graph.has_edge and an edge list, with the same validation and messages.
 The reference left-right planarity test is the package's earlier kernel,
 keyed by (v, w) edge tuples and interval objects; the array-indexed
 kernel must reproduce its verdicts, rotation systems and witnesses.
+The reference child generator is the package's earlier one, which drops
+isomorphic children by a full canonical form each instead of by orbits
+of the parent's automorphism group; automorphisms are counted by a
+plain backtracking search over degree-preserving vertex maps.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from itertools import combinations, permutations
 
 from planarext import Graph
 from planarext.canon import canonical_form_masks
+from planarext.enumeration import _accepts_new_vertex
 from planarext.graphs import bits, build_graph
+from planarext.planarity import _decide
 
 
 def brute_matching_number(g: Graph) -> int:
@@ -633,3 +639,55 @@ def reference_minimize_witness(g: Graph) -> tuple[tuple[int, int], ...]:
             masks[v] ^= 1 << u
             kept.append((u, v))
     return tuple(kept)
+
+
+def reference_children(
+    n: int, masks: tuple[int, ...], deg_max: int, planar_only: bool
+) -> list[tuple[tuple[int, ...], bytes]]:
+    """Accepted one-vertex extensions, deduplicated, sorted by canonical form."""
+    m = sum(masks[v].bit_count() for v in range(n)) // 2
+    eligible = [v for v in range(n) if masks[v].bit_count() < deg_max]
+    child_n = n + 1
+    seen: set[bytes] = set()
+    out: list[tuple[tuple[int, ...], bytes]] = []
+    for size in range(1, min(deg_max, len(eligible)) + 1):
+        if planar_only and child_n >= 3 and m + size > 3 * child_n - 6:
+            break
+        for subset in combinations(eligible, size):
+            zbit = 1 << n
+            child = tuple(
+                masks[v] | zbit if v in subset else masks[v] for v in range(n)
+            ) + (sum(1 << v for v in subset),)
+            if not _accepts_new_vertex(child_n, child):
+                continue
+            form = canonical_form_masks(child_n, child)
+            if form in seen:
+                continue
+            seen.add(form)
+            if planar_only and not _decide(child_n, child):
+                continue
+            out.append((child, form))
+    out.sort(key=lambda item: item[1])
+    return out
+
+
+def brute_automorphism_count(n: int, masks: tuple[int, ...]) -> int:
+    """Number of vertex permutations that preserve adjacency."""
+    degs = [masks[v].bit_count() for v in range(n)]
+    image = [0] * n
+
+    def extend(v: int, used: int) -> int:
+        if v == n:
+            return 1
+        total = 0
+        for w in range(n):
+            if used >> w & 1 or degs[w] != degs[v]:
+                continue
+            if all(
+                (masks[u] >> v & 1) == (masks[image[u]] >> w & 1) for u in range(v)
+            ):
+                image[v] = w
+                total += extend(v + 1, used | 1 << w)
+        return total
+
+    return extend(0, 0)

@@ -4,10 +4,15 @@ import hashlib
 import random
 
 from planarext import build_graph, canonical_form, complete, enumerate_connected, star
-from planarext.canon import canonical_form_masks
+from planarext.canon import _canonical_search, canonical_form_masks
 from planarext.graphs import from_masks
 
-from oracles import all_labeled_graphs, min_perm_form, pair_group_class_count
+from oracles import (
+    all_labeled_graphs,
+    brute_automorphism_count,
+    min_perm_form,
+    pair_group_class_count,
+)
 
 
 def _relabel(masks, perm):
@@ -111,3 +116,27 @@ def test_canonical_forms_pinned():
     assert digest.hexdigest() == (
         "0dfb02a92c3e255391395063a7bdb855f79ea7321c8a21b099302a56430d5c4d"
     )
+
+
+def _group_order(n, gens):
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[v] for v in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return len(group)
+
+
+def test_search_generates_the_automorphism_group():
+    # the generators are automorphisms, and together they reach all of Aut
+    for n in range(7):
+        for masks in all_labeled_graphs(n):
+            gens = _canonical_search(n, masks)[1]
+            for perm in gens:
+                assert _relabel(masks, perm) == masks
+            assert _group_order(n, gens) == brute_automorphism_count(n, masks)

@@ -176,6 +176,70 @@ def test_checkpoint_record_under_wrong_mu_exits_one(tmp_path, monkeypatch, capsy
     assert err == "planarext: error: checkpoint record for mu=8 does not match its witness\n"
 
 
+def _resume_after_edit(tmp_path, monkeypatch, capsys, edit):
+    # write a d = 4 checkpoint, let edit() change its sidecar data, resume
+    path = str(tmp_path / "check.txt")
+    argv = ["verify", "--d", "4", "--nu", "3", "--n-max", "7", "--checkpoint", path]
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    sidecar = tmp_path / "check.txt.results.json"
+    data = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps(edit(data)))
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("planarext: error: ") and err.count("\n") == 1
+    return err
+
+
+def _with_record(key, record):
+    def edit(data):
+        payload = next(p for p in data["roots"].values() if "2" in p)
+        payload[key] = record
+        return data
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_with_record("3", 5), "checkpoint record for mu='3' is not an [edges, graph6] pair"),
+        (_with_record("2", [7]), "checkpoint record for mu='2' is not an [edges, graph6] pair"),
+        (_with_record("2", ["7", "Drw"]), "is not an [edges, graph6] pair"),
+        (_with_record("x", [7, "Drw"]), "checkpoint record for mu='x' is not an"),
+        (lambda data: {**data, "roots": []}, "does not map roots to records"),
+        (lambda data: [data], "does not map roots to records"),
+        (
+            lambda data: {**data, "roots": {h: [p] for h, p in data["roots"].items()}},
+            "does not map roots to records",
+        ),
+    ],
+    ids=["int", "short", "str-edges", "bad-key", "roots-list", "data-list", "root-list"],
+)
+def test_checkpoint_malformed_record_exits_one(tmp_path, monkeypatch, capsys, edit, message):
+    assert message in _resume_after_edit(tmp_path, monkeypatch, capsys, edit)
+
+
+@pytest.mark.parametrize(
+    "g6",
+    [
+        "D~{",  # K5: max degree 4, not below d = 4, and non-planar
+        "EFz_",  # K3,3: max degree 3 but non-planar
+        "CK",  # two disjoint edges: disconnected
+    ],
+    ids=["K5", "K33", "2K2"],
+)
+def test_checkpoint_witness_outside_the_class_exits_one(tmp_path, monkeypatch, capsys, g6):
+    g = graph6_decode(g6)
+    err = _resume_after_edit(tmp_path, monkeypatch, capsys, _with_record("2", [g.m, g6]))
+    assert err == (
+        "planarext: error: checkpoint witness for mu=2 is not a connected planar "
+        "graph with max degree below 4\n"
+    )
+
+
 def test_entry_point_help(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--help"])

@@ -15,6 +15,7 @@ from planarext import (
     is_planar,
 )
 from planarext import enumeration
+from planarext.canon import canonical_form_masks
 from planarext.graphs import from_masks
 
 from oracles import (
@@ -22,6 +23,7 @@ from oracles import (
     brute_is_planar,
     mask_connected,
     reference_accepts_new_vertex,
+    reference_children,
 )
 
 
@@ -118,6 +120,22 @@ def test_acceptance_matches_reference_rule(monkeypatch, n_max, deg_max, planar_o
         pass
     assert calls[n_max] > 0
     assert mismatches == []
+
+
+@pytest.mark.parametrize(
+    "n_max,deg_max,planar_only", [(7, 5, True), (6, 6, False), (7, 9, True)]
+)
+def test_children_match_form_dedup_reference(n_max, deg_max, planar_only):
+    # orbit dedup keeps the same representative of each class as dropping
+    # children by canonical form, so the masks, not just the forms, agree
+    for level in enumeration._levels(n_max, deg_max, planar_only):
+        for masks, _form in level:
+            n = len(masks)
+            got = enumeration._children(n, masks, deg_max, planar_only)
+            forms = [canonical_form_masks(n + 1, child) for child in got]
+            assert len(set(forms)) == len(forms), masks
+            expected = reference_children(n, masks, deg_max, planar_only)
+            assert sorted(zip(forms, got)) == [(f, c) for c, f in expected], masks
 
 
 def test_degree_cap_one():

@@ -1,0 +1,59 @@
+"""Byte-exact command-line outputs, pinned against files in tests/golden.
+
+The inputs are those of demos/command_line_tour.sh, plus the d = 6,
+n_max = 8 table and a two-worker checkpointed verify whose checkpoint and
+sidecar bytes are pinned too. The two `realize` calls of the tour are left
+out: their answer depends on a wall-clock budget, so a slow machine may
+print "timed-out" where a fast one prints the result.
+
+Each file holds the standard output of `planarext ARGV`, which exits 0.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from planarext import oracle
+from planarext.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "bound": ["bound", "6", "8"],
+    "bound_general": ["bound", "6", "8", "--class", "general"],
+    "bound_outerplanar": ["bound", "6", "8", "--class", "outerplanar"],
+    "construct": ["construct", "5", "4"],
+    "construct_json": ["construct", "5", "4", "--format", "json"],
+    "construct_dot": ["construct", "4", "3", "--format", "dot"],
+    "check": ["check", "D]w", "--d", "4", "--nu", "3"],
+    "table_d4": ["table", "--d", "4", "--n-max", "7"],
+    "verify_d4": ["verify", "--d", "4", "--nu", "5", "--n-max", "7"],
+    "color": ["color", "D]w"],
+    "table_d6": ["table", "--d", "6", "--n-max", "8"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_stdout(name, monkeypatch, capsys):
+    # a cold table cache, so that table and verify enumerate afresh
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    code = main(CASES[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_golden_checkpointed_verify(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    path = tmp_path / "ck.txt"
+    argv = ["verify", "--d", "6", "--nu", "4", "--n-max", "8", "--workers", "2"]
+    code = main(argv + ["--checkpoint", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    name = "verify_d6_checkpoint"
+    assert out == (GOLDEN / f"{name}.out").read_text()
+    assert path.read_bytes() == (GOLDEN / f"{name}.ckpt").read_bytes()
+    sidecar = Path(f"{path}.results.json")
+    assert sidecar.read_bytes() == (GOLDEN / f"{name}.ckpt.results.json").read_bytes()

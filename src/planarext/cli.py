@@ -85,8 +85,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# the largest order graph6 can print, hence the most degrees realize takes
+_MAX_DEGREES = 258047
+
+
 def _parse_degree_tokens(tokens: Sequence[str]) -> list[int]:
-    out: list[int] = []
+    pairs: list[tuple[int, int]] = []
     for tok in tokens:
         base, sep, count = tok.partition("^")
         try:
@@ -96,8 +100,11 @@ def _parse_degree_tokens(tokens: Sequence[str]) -> list[int]:
             raise ValueError(f"bad degree token {tok!r} (want 'k' or 'k^count')") from None
         if repeat < 0:
             raise ValueError(f"bad repeat count in {tok!r}")
-        out.extend([value] * repeat)
-    return out
+        pairs.append((value, repeat))
+    total = sum(repeat for _value, repeat in pairs)
+    if total > _MAX_DEGREES:
+        raise ValueError(f"at most {_MAX_DEGREES} degrees, got {total}")
+    return [value for value, repeat in pairs for _ in range(repeat)]
 
 
 def _run(args: argparse.Namespace) -> int:

@@ -23,8 +23,10 @@ FalsificationError rather than returning a verdict.
 Subtrees of the generation tree are independent, so roots at a fixed
 order are sharded across workers and merged by per-mu maximum (ties to
 the smaller canonical form), making output independent of scheduling. A
-checkpoint file records completed roots (sorted hex canonical forms) with
-partial results in a JSON sidecar next to it, enabling resume.
+checkpoint is an append-only journal: a header line naming (d, n_max),
+then one line per finished root (its hex canonical form and its per-mu
+records), in job order, so that a rerun resumes where the last one
+stopped and any worker count writes the same bytes.
 """
 
 from __future__ import annotations
@@ -154,40 +156,80 @@ def _merge_sidecar(best: _Best, payload: dict[str, list], d: int) -> None:
             )
 
 
-def _load_checkpoint(path: str, d: int, n_max: int) -> dict[str, dict[str, list]]:
-    sidecar = path + ".results.json"
-    if not os.path.exists(path) or not os.path.exists(sidecar):
+def _journal_line(value: object) -> bytes:
+    """One journal line: compact JSON with sorted keys, newline-terminated."""
+    text = json.dumps(value, separators=(",", ":"), sort_keys=True)
+    return (text + "\n").encode("ascii")
+
+
+def _journal_header(d: int, n_max: int) -> bytes:
+    return _journal_line({"format": 1, "d": d, "n_max": n_max})
+
+
+def _load_checkpoint(
+    path: str, d: int, n_max: int, roots: set[str]
+) -> dict[str, dict[str, list]]:
+    """The finished roots in the journal at path, in the order they were written.
+
+    A torn last line (no newline) is cut off, so that its root is
+    recomputed. Anything else that this run did not write raises
+    ValueError before the file is touched.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
         return {}
-    with open(sidecar, "r", encoding="ascii") as fh:
-        data = json.load(fh)
-    roots = data.get("roots", {}) if isinstance(data, dict) else None
-    if not isinstance(roots, dict) or not all(
-        isinstance(payload, dict) for payload in roots.values()
-    ):
-        raise ValueError(f"checkpoint sidecar {sidecar} does not map roots to records")
-    if data.get("d") != d or data.get("n_max") != n_max:
+    header = _journal_header(d, n_max)
+    # the journal starts with the header line, or is a torn piece of it
+    if not header.startswith(data[: len(header)]):
         raise ValueError(
-            f"checkpoint {path} was written for d={data.get('d')}, "
-            f"n_max={data.get('n_max')}, not (d={d}, n_max={n_max})"
+            f"checkpoint {path} is not a journal for d={d}, n_max={n_max}: "
+            f"its first line is not {header.decode().rstrip()}"
         )
-    with open(path, "r", encoding="ascii") as fh:
-        done_lines = {line.strip() for line in fh if line.strip()}
-    return {hex_form: roots[hex_form] for hex_form in done_lines if hex_form in roots}
+    end = data.rfind(b"\n") + 1
+    lines = data[len(header) : end].split(b"\n")[:-1]
+    done: dict[str, dict[str, list]] = {}
+    for number, line in enumerate(lines, start=2):
+        try:
+            entry = json.loads(line)
+        except (ValueError, RecursionError):  # not JSON, or nested too deep
+            entry = None
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], str)
+            and isinstance(entry[1], dict)
+        ):
+            raise ValueError(f"checkpoint {path} line {number} does not map roots to records")
+        root, payload = entry
+        if root not in roots:
+            raise ValueError(
+                f"checkpoint {path} line {number}: {root!r} is not a root of this run"
+            )
+        if root in done:
+            raise ValueError(f"checkpoint {path} line {number}: root {root} appears twice")
+        done[root] = payload
+    if end < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(end)
+    return done
 
 
 def _save_checkpoint(
-    path: str, d: int, n_max: int, done: dict[str, dict[str, list]]
+    path: str, d: int, n_max: int, root: str, payload: dict[str, list]
 ) -> None:
-    payload = {"d": d, "n_max": n_max, "roots": done}
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        for hex_form in sorted(done):
-            fh.write(hex_form + "\n")
-    os.replace(tmp, path)
-    tmp = path + ".results.json.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-    os.replace(tmp, path + ".results.json")
+    """Append one finished root to the journal at path, then fsync it.
+
+    A new or empty journal gets its header line first. Nothing written is
+    ever rewritten.
+    """
+    with open(path, "ab") as fh:
+        if fh.tell() == 0:
+            fh.write(_journal_header(d, n_max))
+        fh.write(_journal_line([root, payload]))
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 _TABLE_CACHE: dict[tuple[int, int], tuple[ComponentRecord, ...]] = {}
@@ -226,7 +268,12 @@ def component_table(
             for masks, form in level:
                 _offer(best, from_masks(len(masks), masks), form)
     if roots:
-        done = _load_checkpoint(checkpoint, d, n_max) if checkpoint else {}
+        done = {}
+        if checkpoint:
+            done = _load_checkpoint(checkpoint, d, n_max, {f.hex() for _m, f in roots})
+        # a bad record in the journal fails the run before any root is computed
+        for payload in done.values():
+            _merge_sidecar(best, payload, d)
         jobs = [
             (masks, form, n_max, deg_max)
             for masks, form in roots
@@ -242,11 +289,9 @@ def component_table(
         with pool as executor:
             run = executor.map if executor else map
             for (_root, form, *_), result in zip(jobs, run(_subtree_worker, jobs)):
-                done[form.hex()] = result
                 if checkpoint:
-                    _save_checkpoint(checkpoint, d, n_max, done)
-        for payload in done.values():
-            _merge_sidecar(best, payload, d)
+                    _save_checkpoint(checkpoint, d, n_max, form.hex(), result)
+                _merge_sidecar(best, result, d)
     if d > n_max:
         _offer(best, star(d - 1))
     records = []

@@ -14,6 +14,7 @@ vertices are planar by definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .canon import canonical_form
@@ -402,29 +403,41 @@ def face_count(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> int:
     is the per-component face total minus (components - 1). The empty
     graph has one face, the whole plane.
     """
-    # the dart u -> v is the integer u * n + v
-    n = g.n
-    succ: dict[int, int] = {}
-    for v in range(n):
-        rot = embedding[v]
-        base = v * n
-        for u, w in zip(rot, rot[1:] + rot[:1]):
-            succ[u * n + v] = base + w
-    faces = 0
-    seen: set[int] = set()
-    for dart in succ:
-        if dart in seen:
-            continue
-        faces += 1
-        cur = dart
-        while cur not in seen:
-            seen.add(cur)
-            cur = succ[cur]
     if g.n == 0:
         return 1
-    components, edgeless = component_counts(g)
-    # edgeless components still bound one face each
-    return faces + edgeless - (components - 1)
+    # dart i of v, from v to embedding[v][i], has the flat id first[v] + i
+    first = list(accumulate(map(len, embedding), initial=0))
+    succ = [0] * first[-1]
+    # the pass that links the darts also floods the components with edges
+    reached = [False] * g.n
+    pieces = 0
+    for root in range(g.n):
+        if reached[root] or not embedding[root]:
+            continue
+        pieces += 1
+        reached[root] = True
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            rot = embedding[v]
+            base, k = first[v], len(rot)
+            for i, u in enumerate(rot, 1):
+                if not reached[u]:
+                    reached[u] = True
+                    stack.append(u)
+                # a face turns from the dart u -> v onto the next dart around v
+                succ[first[u] + embedding[u].index(v)] = base + (i if i < k else 0)
+    faces = 0
+    for start in range(len(succ)):
+        if succ[start] < 0:
+            continue
+        faces += 1
+        cur = start
+        while succ[cur] >= 0:
+            # -1 marks a traced dart
+            succ[cur], cur = -1, succ[cur]
+    # the pieces share one outer face, and isolated vertices lie in it
+    return faces - (pieces - 1)
 
 
 def euler_identity_holds(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> bool:

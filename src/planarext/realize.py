@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Iterator
 
 from .graphs import DegreeSequence, Graph, from_masks
 from .planarity import _decide, is_planar
@@ -38,39 +40,55 @@ class _Deadline(Exception):
 
 
 def _residual_feasible(rem: list[int]) -> bool:
+    """Erdős–Gallai over the remaining demands, in linear time after the sort.
+
+    With the demands non-increasing, the k largest need k(k-1) plus the
+    sum of min(d_i, k) over the rest. A pointer p walks down so that the
+    first p demands are those at least k: the rest contribute k each up
+    to index p, and their own value after it.
+    """
     degs = sorted(rem, reverse=True)
     if not degs or degs[0] == 0:
         return True
     n = len(degs)
     if degs[0] > n - 1:
         return False
+    # suffix[i] is the sum of degs[i:]
+    suffix = list(accumulate(reversed(degs), initial=0))[::-1]
     prefix = 0
+    p = n
     for k in range(1, n + 1):
         prefix += degs[k - 1]
-        tail = sum(min(x, k) for x in degs[k:])
+        while p and degs[p - 1] < k:
+            p -= 1
+        tail = k * max(p - k, 0) + suffix[max(p, k)]
         if prefix > k * (k - 1) + tail:
             return False
     return True
 
 
-def _group_selections(groups: list[list[int]], need: int) -> list[list[int]]:
-    """All ways to take `need` vertices as per-group prefixes."""
-    out: list[list[int]] = []
+def _group_selections(groups: list[list[int]], need: int) -> Iterator[list[int]]:
+    """All ways to take `need` vertices as per-group prefixes, made lazily.
 
-    def rec(i: int, left: int, acc: list[int]) -> None:
+    They come in the lexicographic order of the per-group counts. Deep in
+    a search there are hundreds of groups and a node often recurses into
+    its first selection, so the selections are not listed up front.
+    """
+    # room[j]: how many vertices groups[j:] hold
+    room = list(accumulate(map(len, reversed(groups)), initial=0))[::-1]
+
+    def pick(i: int, left: int) -> Iterator[list[int]]:
         if left == 0:
-            out.append(list(acc))
+            yield []
             return
-        if i == len(groups):
-            return
-        if sum(len(grp) for grp in groups[i:]) < left:
-            return
-        take_max = min(left, len(groups[i]))
-        for take in range(take_max + 1):
-            rec(i + 1, left - take, acc + groups[i][:take])
+        # a later first nonempty take sorts first: it keeps more counts at 0
+        for j in range(len(groups) - 1, i - 1, -1):
+            for take in range(1, min(left, len(groups[j])) + 1):
+                if room[j + 1] >= left - take:
+                    for rest in pick(j + 1, left - take):
+                        yield groups[j][:take] + rest
 
-    rec(0, need, [])
-    return out
+    return pick(0, need)
 
 
 def realize_degree_sequence_planar(
@@ -119,6 +137,8 @@ def realize_degree_sequence_planar(
             grouped.setdefault((rem[u], masks[u]), []).append(u)
         groups = [sorted(members) for _, members in sorted(grouped.items())]
         for chosen in _group_selections(groups, need):
+            if deadline is not None and time.monotonic() > deadline:
+                raise _Deadline
             for u in chosen:
                 masks[pivot] |= 1 << u
                 masks[u] |= 1 << pivot

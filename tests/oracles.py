@@ -17,7 +17,11 @@ kernel must reproduce its verdicts, rotation systems and witnesses.
 The reference child generator is the package's earlier one, which drops
 isomorphic children by a full canonical form each instead of by orbits
 of the parent's automorphism group; automorphisms are counted by a
-plain backtracking search over degree-preserving vertex maps.
+plain backtracking search over degree-preserving vertex maps. The
+reference face count is the package's earlier tracer, which walks a dict
+over all darts with a seen set, and the reference Erdős–Gallai residual
+check and the group selections of realize are the package's earlier
+quadratic check and eager list.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from itertools import combinations, permutations
 from planarext import Graph
 from planarext.canon import canonical_form_masks
 from planarext.enumeration import _accepts_new_vertex
-from planarext.graphs import bits, build_graph
+from planarext.graphs import bits, build_graph, component_counts
 from planarext.planarity import _decide
 
 
@@ -691,3 +695,65 @@ def brute_automorphism_count(n: int, masks: tuple[int, ...]) -> int:
         return total
 
     return extend(0, 0)
+
+
+def reference_face_count(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> int:
+    # the dart u -> v is the integer u * n + v
+    n = g.n
+    succ: dict[int, int] = {}
+    for v in range(n):
+        rot = embedding[v]
+        base = v * n
+        for u, w in zip(rot, rot[1:] + rot[:1]):
+            succ[u * n + v] = base + w
+    faces = 0
+    seen: set[int] = set()
+    for dart in succ:
+        if dart in seen:
+            continue
+        faces += 1
+        cur = dart
+        while cur not in seen:
+            seen.add(cur)
+            cur = succ[cur]
+    if g.n == 0:
+        return 1
+    components, edgeless = component_counts(g)
+    # edgeless components still bound one face each
+    return faces + edgeless - (components - 1)
+
+
+def reference_residual_feasible(rem: list[int]) -> bool:
+    degs = sorted(rem, reverse=True)
+    if not degs or degs[0] == 0:
+        return True
+    n = len(degs)
+    if degs[0] > n - 1:
+        return False
+    prefix = 0
+    for k in range(1, n + 1):
+        prefix += degs[k - 1]
+        tail = sum(min(x, k) for x in degs[k:])
+        if prefix > k * (k - 1) + tail:
+            return False
+    return True
+
+
+def reference_group_selections(groups: list[list[int]], need: int) -> list[list[int]]:
+    """All ways to take `need` vertices as per-group prefixes."""
+    out: list[list[int]] = []
+
+    def rec(i: int, left: int, acc: list[int]) -> None:
+        if left == 0:
+            out.append(list(acc))
+            return
+        if i == len(groups):
+            return
+        if sum(len(grp) for grp in groups[i:]) < left:
+            return
+        take_max = min(left, len(groups[i]))
+        for take in range(take_max + 1):
+            rec(i + 1, left - take, acc + groups[i][:take])
+
+    rec(0, need, [])
+    return out

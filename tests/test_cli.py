@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from planarext import atlas, graph6_decode, graph6_encode, max_edges_planar, oracle
+from planarext import atlas, cli, graph6_decode, graph6_encode, max_edges_planar, oracle
 from planarext.cli import main
 from planarext.oracle import FalsificationError
 
@@ -159,33 +159,31 @@ def test_usage_errors_exit_one(capsys):
         assert err.startswith("planarext: error: ") and err.count("\n") == 1
 
 
-def test_checkpoint_record_under_wrong_mu_exits_one(tmp_path, monkeypatch, capsys):
-    path = str(tmp_path / "check.txt")
-    argv = ["verify", "--d", "4", "--nu", "3", "--n-max", "7", "--checkpoint", path]
-    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
-    code, _, _ = run(capsys, *argv)
-    assert code == 0
-    sidecar = tmp_path / "check.txt.results.json"
-    data = json.loads(sidecar.read_text())
-    payload = next(p for p in data["roots"].values() if "3" in p)
-    payload["8"] = payload.pop("3")
-    sidecar.write_text(json.dumps(data))
-    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and out == ""
-    assert err == "planarext: error: checkpoint record for mu=8 does not match its witness\n"
+def test_realize_refuses_more_degrees_than_graph6_prints(monkeypatch, capsys):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(cli, "realize_degree_sequence_planar", no_search)
+    # the last one would not fit in memory if it were expanded
+    for argv, total in (
+        (["realize", "5^300000"], "300000"),
+        (["realize", "5^258047", "4"], "258048"),
+        (["realize", "5^" + "9" * 30], "9" * 30),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"planarext: error: at most 258047 degrees, got {total}\n"
 
 
 def _resume_after_edit(tmp_path, monkeypatch, capsys, edit):
-    # write a d = 4 checkpoint, let edit() change its sidecar data, resume
-    path = str(tmp_path / "check.txt")
-    argv = ["verify", "--d", "4", "--nu", "3", "--n-max", "7", "--checkpoint", path]
+    # write a d = 4 checkpoint, let edit() change its journal lines, resume
+    path = tmp_path / "check.txt"
+    argv = ["verify", "--d", "4", "--nu", "3", "--n-max", "7", "--checkpoint", str(path)]
     monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    sidecar = tmp_path / "check.txt.results.json"
-    data = json.loads(sidecar.read_text())
-    sidecar.write_text(json.dumps(edit(data)))
+    lines = edit(path.read_text().splitlines())
+    path.write_text("".join(line + "\n" for line in lines))
     monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
@@ -193,11 +191,33 @@ def _resume_after_edit(tmp_path, monkeypatch, capsys, edit):
     return err
 
 
+def _with_records(change, mu="2"):
+    # change() edits the records of the first finished root that has this mu
+    def edit(lines):
+        entries = [json.loads(line) for line in lines[1:]]
+        change(next(records for _root, records in entries if mu in records))
+        return lines[:1] + [json.dumps(entry) for entry in entries]
+
+    return edit
+
+
 def _with_record(key, record):
-    def edit(data):
-        payload = next(p for p in data["roots"].values() if "2" in p)
-        payload[key] = record
-        return data
+    return _with_records(lambda records: records.__setitem__(key, record))
+
+
+def _moved(records):
+    records["8"] = records.pop("3")
+
+
+def test_checkpoint_record_under_wrong_mu_exits_one(tmp_path, monkeypatch, capsys):
+    err = _resume_after_edit(tmp_path, monkeypatch, capsys, _with_records(_moved, mu="3"))
+    assert err == "planarext: error: checkpoint record for mu=8 does not match its witness\n"
+
+
+def _with_line(index, reshape):
+    def edit(lines):
+        root, records = json.loads(lines[index])
+        return lines[:index] + [json.dumps(reshape(root, records))] + lines[index + 1 :]
 
     return edit
 
@@ -209,17 +229,48 @@ def _with_record(key, record):
         (_with_record("2", [7]), "checkpoint record for mu='2' is not an [edges, graph6] pair"),
         (_with_record("2", ["7", "Drw"]), "is not an [edges, graph6] pair"),
         (_with_record("x", [7, "Drw"]), "checkpoint record for mu='x' is not an"),
-        (lambda data: {**data, "roots": []}, "does not map roots to records"),
-        (lambda data: [data], "does not map roots to records"),
-        (
-            lambda data: {**data, "roots": {h: [p] for h, p in data["roots"].items()}},
-            "does not map roots to records",
-        ),
+        (_with_line(1, lambda root, recs: {root: recs}), "line 2 does not map roots to records"),
+        (_with_line(3, lambda root, recs: [[root, recs]]), "line 4 does not map roots to records"),
+        (_with_line(2, lambda root, recs: [root, [recs]]), "line 3 does not map roots to records"),
+        (lambda lines: lines[:2] + ["not json"] + lines[2:], "line 3 does not map roots"),
+        (lambda lines: lines + ["[" * 10**5 + "]" * 10**5], "does not map roots to records"),
     ],
-    ids=["int", "short", "str-edges", "bad-key", "roots-list", "data-list", "root-list"],
+    ids=[
+        "int", "short", "str-edges", "bad-key", "roots-list", "data-list", "root-list",
+        "not-json", "deep-json",
+    ],
 )
 def test_checkpoint_malformed_record_exits_one(tmp_path, monkeypatch, capsys, edit, message):
     assert message in _resume_after_edit(tmp_path, monkeypatch, capsys, edit)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda lines: lines + ['["ffffff", {}]'], "'ffffff' is not a root of this run"),
+        (lambda lines: lines + lines[3:4], "appears twice"),
+        (
+            lambda lines: ['{"d":4,"format":1,"n_max":8}'] + lines[1:],
+            'is not a journal for d=4, n_max=7: its first line is not {"d":4,"format":1,"n_max":7}',
+        ),
+        (lambda lines: ['{"d":4,"format":2,"n_max":7}'] + lines[1:], "is not a journal for d=4"),
+    ],
+    ids=["foreign-root", "duplicate-root", "other-run", "other-format"],
+)
+def test_checkpoint_journal_of_another_run_exits_one(tmp_path, monkeypatch, capsys, edit, message):
+    assert message in _resume_after_edit(tmp_path, monkeypatch, capsys, edit)
+
+
+def test_checkpoint_leftover_two_file_layout_exits_one(tmp_path, monkeypatch, capsys):
+    # the done-list plus sidecar that older versions wrote are not resumed
+    def two_files(lines):
+        entries = [json.loads(line) for line in lines[1:]]
+        sidecar = {"d": 4, "n_max": 7, "roots": dict(entries)}
+        (tmp_path / "check.txt.results.json").write_text(json.dumps(sidecar))
+        return sorted(root for root, _records in entries)
+
+    err = _resume_after_edit(tmp_path, monkeypatch, capsys, two_files)
+    assert "is not a journal for d=4, n_max=7" in err
 
 
 @pytest.mark.parametrize(

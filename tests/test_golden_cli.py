@@ -1,8 +1,8 @@
 """Byte-exact command-line outputs, pinned against files in tests/golden.
 
 The inputs are those of demos/command_line_tour.sh, plus the d = 6,
-n_max = 8 table and a two-worker checkpointed verify whose checkpoint and
-sidecar bytes are pinned too. The two `realize` calls of the tour are left
+n_max = 8 table and a two-worker checkpointed verify whose checkpoint
+journal is pinned too. The two `realize` calls of the tour are left
 out: their answer depends on a wall-clock budget, so a slow machine may
 print "timed-out" where a fast one prints the result.
 
@@ -11,6 +11,7 @@ Each file holds the standard output of `planarext ARGV`, which exits 0.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,12 @@ def test_golden_checkpointed_verify(tmp_path, monkeypatch, capsys):
     assert code == 0
     name = "verify_d6_checkpoint"
     assert out == (GOLDEN / f"{name}.out").read_text()
-    assert path.read_bytes() == (GOLDEN / f"{name}.ckpt").read_bytes()
-    sidecar = Path(f"{path}.results.json")
-    assert sidecar.read_bytes() == (GOLDEN / f"{name}.ckpt.results.json").read_bytes()
+    # the journal is the only file, and it holds what the reference
+    # done-list and sidecar (the two-file layout it replaced) held
+    assert list(tmp_path.iterdir()) == [path]
+    header, *entries = map(json.loads, path.read_bytes().splitlines())
+    assert header == {"format": 1, "d": 6, "n_max": 8}
+    done_list = (GOLDEN / f"{name}.ckpt").read_text().splitlines()
+    assert [root for root, _records in entries] == done_list
+    sidecar = json.loads((GOLDEN / f"{name}.ckpt.results.json").read_text())
+    assert dict(entries) == sidecar["roots"]

@@ -131,10 +131,8 @@ def test_component_cap_shape():
 
 def test_falsification_aborts_verify(monkeypatch):
     # a poisoned record better than anything planar must abort loudly
-    from planarext import oracle as oracle_module
-
-    fake = [ComponentRecord(mu=1, best_edges=99, witness=star(4), exhaustive=True)]
-    monkeypatch.setitem(oracle_module._TABLE_CACHE, (17, 3), fake)
+    fake = ComponentRecord(mu=1, best_edges=99, witness=star(4), exhaustive=True)
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {(17, 3): (fake,)})
     with pytest.raises(FalsificationError) as info:
         verify_theorem(17, 2, 3)
     assert info.value.oracle_value == 99
@@ -142,60 +140,64 @@ def test_falsification_aborts_verify(monkeypatch):
     assert "formula" in str(info.value)
 
 
-def test_checkpoint_resume_and_worker_determinism(tmp_path):
+def _rows(table):
+    return [(r.mu, r.best_edges, canonical_form(r.witness)) for r in table]
+
+
+def test_checkpoint_resume_and_worker_determinism(tmp_path, monkeypatch):
     # n_max above the shard order so subtree roots actually exist
-    path = str(tmp_path / "check.txt")
+    path = tmp_path / "check.txt"
     serial = component_table(4, 7)
-    from planarext import oracle as oracle_module
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    assert _rows(component_table(4, 7, checkpoint=str(path))) == _rows(serial)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["check.txt"]
+    journal = path.read_bytes()
+    header, *entries = map(json.loads, journal.splitlines())
+    assert header == {"format": 1, "d": 4, "n_max": 7}
+    roots = [root for root, _records in entries]
+    assert roots == sorted(set(roots)) and roots
 
-    oracle_module._TABLE_CACHE.pop((4, 7), None)
-    first = component_table(4, 7, checkpoint=path)
-    assert {r.mu: r.best_edges for r in first} == {
-        r.mu: r.best_edges for r in serial
-    }
-    lines = (tmp_path / "check.txt").read_text().splitlines()
-    assert lines == sorted(lines) and lines
-    sidecar = json.loads((tmp_path / "check.txt.results.json").read_text())
-    assert sidecar["d"] == 4 and sidecar["n_max"] == 7
-    assert set(sidecar["roots"]) == set(lines)
+    # resume: drop the last finished root, rebuild only that one
+    path.write_bytes(journal[: journal.rindex(b"\n", 0, -1) + 1])
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    assert _rows(component_table(4, 7, checkpoint=str(path))) == _rows(serial)
+    assert path.read_bytes() == journal
 
-    # resume: drop one completed root, rebuild only the remainder
-    kept = lines[:-1]
-    (tmp_path / "check.txt").write_text("\n".join(kept) + "\n")
-    oracle_module._TABLE_CACHE.pop((4, 7), None)
-    resumed = component_table(4, 7, checkpoint=path)
-    assert {r.mu: r.best_edges for r in resumed} == {
-        r.mu: r.best_edges for r in serial
-    }
-
-    # parallel run merges to the identical table
-    path2 = str(tmp_path / "par.txt")
-    oracle_module._TABLE_CACHE.pop((4, 7), None)
-    parallel = component_table(4, 7, workers=2, checkpoint=path2)
-    assert [
-        (r.mu, r.best_edges, canonical_form(r.witness)) for r in parallel
-    ] == [(r.mu, r.best_edges, canonical_form(r.witness)) for r in serial]
-    oracle_module._TABLE_CACHE[(4, 7)] = serial
+    # two workers write the same journal, byte for byte
+    path2 = tmp_path / "par.txt"
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    assert _rows(component_table(4, 7, workers=2, checkpoint=str(path2))) == _rows(serial)
+    assert path2.read_bytes() == journal
 
 
-def test_checkpoint_parameter_mismatch(tmp_path):
+def test_checkpoint_torn_last_line_is_recomputed(tmp_path, monkeypatch):
+    # an interrupted append leaves a last line without its newline
+    path = tmp_path / "check.txt"
+    serial = component_table(4, 7)
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    component_table(4, 7, checkpoint=str(path))
+    journal = path.read_bytes()
+    header_end = journal.index(b"\n") + 1
+    for torn in (journal[:-1], journal[:-9], journal[: header_end - 1], journal[:5]):
+        path.write_bytes(torn)
+        monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+        assert _rows(component_table(4, 7, checkpoint=str(path))) == _rows(serial)
+        assert path.read_bytes() == journal
+
+
+def test_checkpoint_parameter_mismatch(tmp_path, monkeypatch):
     path = str(tmp_path / "check.txt")
-    from planarext import oracle as oracle_module
-
-    oracle_module._TABLE_CACHE.pop((3, 7), None)
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
     component_table(3, 7, checkpoint=path)
-    oracle_module._TABLE_CACHE.pop((4, 7), None)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not a journal for d=4, n_max=7"):
         component_table(4, 7, checkpoint=path)
-    oracle_module._TABLE_CACHE.pop((4, 7), None)
 
 
 def test_checkpoint_record_that_disagrees_with_its_key(tmp_path, monkeypatch):
     path = tmp_path / "check.txt"
-    sidecar = tmp_path / "check.txt.results.json"
     monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
     component_table(4, 7, checkpoint=str(path))
-    clean = sidecar.read_text()
+    header, *clean = path.read_text().splitlines(keepends=True)
 
     def moved(payload):
         payload["8"] = payload.pop("3")
@@ -207,12 +209,17 @@ def test_checkpoint_record_that_disagrees_with_its_key(tmp_path, monkeypatch):
         payload["3"][0] += 1
 
     for corrupt in (moved, shrunk, grown):
-        data = json.loads(clean)
-        corrupt(next(p for p in data["roots"].values() if "3" in p))
-        sidecar.write_text(json.dumps(data))
+        entries = [json.loads(line) for line in clean]
+        bad = next(entry for entry in entries if "3" in entry[1])
+        corrupt(bad[1])
+        # with a root left to compute, the bad record still fails first
+        entries.remove(next(entry for entry in entries if entry is not bad))
+        journal = header + "".join(json.dumps(e) + "\n" for e in entries)
+        path.write_text(journal)
         monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
         with pytest.raises(ValueError, match="does not match its witness"):
             component_table(4, 7, checkpoint=str(path))
+        assert path.read_text() == journal
 
 
 def test_worker_count_is_capped_by_pending_roots(monkeypatch):
@@ -278,29 +285,3 @@ def test_table_cache_survives_caller_mutation():
     first.clear()
     assert component_table(4, 5) == expected
     assert verify_theorem(4, 3, 5) == verdict
-
-
-def test_checkpoint_done_line_without_sidecar_result_is_recomputed(tmp_path):
-    # the done-list is renamed into place before the sidecar, so a crash
-    # between the two leaves a done-line whose results are missing
-    path = tmp_path / "check.txt"
-    sidecar = tmp_path / "check.txt.results.json"
-    serial = component_table(4, 7)
-    from planarext import oracle as oracle_module
-
-    oracle_module._TABLE_CACHE.pop((4, 7), None)
-    component_table(4, 7, checkpoint=str(path))
-    lines = path.read_text().splitlines()
-    data = json.loads(sidecar.read_text())
-    dropped = lines[0]
-    del data["roots"][dropped]
-    sidecar.write_text(json.dumps(data))
-
-    oracle_module._TABLE_CACHE.pop((4, 7), None)
-    resumed = component_table(4, 7, checkpoint=str(path))
-    assert [
-        (r.mu, r.best_edges, canonical_form(r.witness)) for r in resumed
-    ] == [(r.mu, r.best_edges, canonical_form(r.witness)) for r in serial]
-    assert path.read_text().splitlines() == lines
-    assert dropped in json.loads(sidecar.read_text())["roots"]
-    oracle_module._TABLE_CACHE[(4, 7)] = tuple(serial)

@@ -35,6 +35,7 @@ from oracles import (
     brute_is_planar,
     reference_decide,
     reference_embedding,
+    reference_face_count,
     reference_minimize_witness,
 )
 
@@ -204,6 +205,25 @@ def test_face_count_values():
     assert face_count(tree, is_planar(tree).embedding) == 1
     edgeless = build_graph(3, [])
     assert face_count(edgeless, is_planar(edgeless).embedding) == 1
+
+
+def test_face_count_matches_dict_tracer_on_any_rotation_system():
+    # planar embeddings, then the same rotations shuffled: any rotation
+    # system has a face count, planar or not
+    rng = random.Random(20)
+    graphs = [pivotal_planar(d, nu) for d in (3, 5, 6) for nu in (2, 7, 12)]
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        p = rng.random() * 0.6
+        graphs.append(
+            build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        )
+    for g in graphs:
+        result = is_planar(g)
+        rotations = result.embedding if result.verdict else g.adj
+        shuffled = tuple(tuple(rng.sample(row, len(row))) for row in rotations)
+        for emb in (rotations, shuffled):
+            assert face_count(g, emb) == reference_face_count(g, emb)
 
 
 def test_euler_reject_only_rejects_dense():

@@ -86,7 +86,28 @@ def _build_parser() -> _Parser:
 
 
 # the largest order graph6 can print, hence the most degrees realize takes
-_MAX_DEGREES = 258047
+# and the largest construction construct builds
+_MAX_ORDER = 258047
+
+
+def _construct_order(d: int, nu: int, cls: str) -> int:
+    """Order of the graph `construct d nu --class cls` builds, without building it."""
+    k = nu - 1
+    if d < 2 or k < 1:
+        return 0
+    if cls == "general":
+        # K'_d (d + 1 vertices, d even) or K_d (d odd), then d-vertex stars
+        q, r = divmod(k, d // 2)
+        return q * (d + 1 - d % 2) + r * d
+    if d in (4, 5):
+        # K'_4 or K5 minus an edge, then one d-vertex star
+        return 5 * (k // 2) + d * (k % 2)
+    if d == 6:
+        # A7 (15 vertices), then A4 (9) and 6-vertex stars
+        q, r = divmod(k, 7)
+        return 15 * q + (9 + 6 * (r - 4) if r >= 4 else 6 * r)
+    # K2, triangles or (d-1)-stars: d vertices each
+    return d * k
 
 
 def _parse_degree_tokens(tokens: Sequence[str]) -> list[int]:
@@ -102,8 +123,8 @@ def _parse_degree_tokens(tokens: Sequence[str]) -> list[int]:
             raise ValueError(f"bad repeat count in {tok!r}")
         pairs.append((value, repeat))
     total = sum(repeat for _value, repeat in pairs)
-    if total > _MAX_DEGREES:
-        raise ValueError(f"at most {_MAX_DEGREES} degrees, got {total}")
+    if total > _MAX_ORDER:
+        raise ValueError(f"at most {_MAX_ORDER} degrees, got {total}")
     return [value for value, repeat in pairs for _ in range(repeat)]
 
 
@@ -118,6 +139,9 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "construct":
+        order = _construct_order(args.d, args.nu, args.cls)
+        if order > _MAX_ORDER:
+            raise ValueError(f"at most {_MAX_ORDER} vertices, the construction has {order}")
         build = pivotal_planar if args.cls == "planar" else extremal_general
         g = build(args.d, args.nu)
         if args.format == "g6":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -167,37 +167,9 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     return Graph(len(vertices), tuple(adj))
 
 
-def connected_components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
-    """Connected components as (induced graph, original labels) pairs.
-
-    Labels are ascending inside each component and components are ordered
-    by their smallest original vertex, so the output is deterministic.
-    """
-    seen = [False] * g.n
-    out = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comp.sort()
-        out.append((induced_subgraph(g, comp), tuple(comp)))
-    return out
-
-
-def component_counts(g: Graph) -> tuple[int, int]:
-    """(number of components, number of edgeless ones), by a bitmask flood."""
-    masks = g.masks
-    unseen = (1 << g.n) - 1
-    components = 0
+def _component_masks(masks: Sequence[int]) -> Iterator[int]:
+    """Vertex set of each component as a bitmask, by smallest vertex, one flood each."""
+    unseen = (1 << len(masks)) - 1
     while unseen:
         reach = frontier = unseen & -unseen
         while frontier:
@@ -207,8 +179,26 @@ def component_counts(g: Graph) -> tuple[int, int]:
             frontier = grown & ~reach
             reach |= grown
         unseen &= ~reach
-        components += 1
-    return components, masks.count(0)
+        yield reach
+
+
+def connected_components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
+    """Connected components as (induced graph, original labels) pairs.
+
+    Labels are ascending inside each component and components are ordered
+    by their smallest original vertex, so the output is deterministic.
+    """
+    out = []
+    for comp in _component_masks(g.masks):
+        labels = bits(comp)
+        out.append((induced_subgraph(g, labels), tuple(labels)))
+    return out
+
+
+def component_counts(g: Graph) -> tuple[int, int]:
+    """(number of components, number of edgeless ones), by a bitmask flood."""
+    masks = g.masks
+    return sum(1 for _ in _component_masks(masks)), masks.count(0)
 
 
 def is_connected(g: Graph) -> bool:

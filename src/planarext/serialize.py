@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .bounds import max_edges_planar
-from .graphs import Graph, degree_stats
+from .graphs import Graph, _component_masks, bits, degree_stats
 from .matching import matching_number
 from .planarity import is_planar
 
@@ -155,10 +155,33 @@ def certificate(g: Graph, d: int, nu: int) -> CertificateReport:
 
     tight means the graph is a class member (planar, max degree below d,
     matching number below nu) meeting the class maximum exactly.
+
+    Planarity and the matching number are derived per distinct connected
+    component: the graph is planar iff each component is, and matching
+    numbers add. Components are grouped by their row masks after
+    relabelling 0..k-1 in vertex order, so two share a group only when
+    they are the same labelled graph. Each distinct one goes through the
+    full is_planar, with its Euler check or Kuratowski witness check.
     """
-    planar = is_planar(g).verdict
+    masks = g.masks
+    groups: dict[tuple[int, ...], int] = {}
+    for comp in _component_masks(masks):
+        low = (comp & -comp).bit_length() - 1
+        span = comp >> low
+        if span & (span + 1):
+            index = {v: 1 << i for i, v in enumerate(bits(comp))}
+            key = tuple(sum(index[w] for w in bits(masks[v])) for v in index)
+        else:  # contiguous labels: the relabelling is a shift
+            key = tuple(m >> low for m in masks[low : low + span.bit_length()])
+        groups[key] = groups.get(key, 0) + 1
+    # built from the rows directly: from_masks is left to enumerated graphs
+    parts = [
+        (Graph(len(key), tuple(tuple(bits(m)) for m in key)), count)
+        for key, count in groups.items()
+    ]
+    planar = all(is_planar(c).verdict for c, _ in parts)
+    nu_g = sum(count * matching_number(c) for c, count in parts)
     maxdeg, _ = degree_stats(g)
-    nu_g = matching_number(g)
     bound = max_edges_planar(d, nu)
     tight = planar and maxdeg < d and nu_g < nu and g.m == bound
     return CertificateReport(

@@ -21,7 +21,9 @@ plain backtracking search over degree-preserving vertex maps. The
 reference face count is the package's earlier tracer, which walks a dict
 over all darts with a seen set, and the reference Erdős–Gallai residual
 check and the group selections of realize are the package's earlier
-quadratic check and eager list.
+quadratic check and eager list. The reference certificate is the
+package's earlier one, which runs planarity and blossom once over the
+whole graph instead of once per distinct component.
 """
 
 from __future__ import annotations
@@ -30,10 +32,13 @@ import math
 from itertools import combinations, permutations
 
 from planarext import Graph
+from planarext.bounds import max_edges_planar
 from planarext.canon import canonical_form_masks
 from planarext.enumeration import _accepts_new_vertex
-from planarext.graphs import bits, build_graph, component_counts
-from planarext.planarity import _decide
+from planarext.graphs import bits, build_graph, component_counts, degree_stats
+from planarext.matching import matching_number
+from planarext.planarity import _decide, is_planar
+from planarext.serialize import CertificateReport, graph6_encode
 
 
 def brute_matching_number(g: Graph) -> int:
@@ -757,3 +762,27 @@ def reference_group_selections(groups: list[list[int]], need: int) -> list[list[
 
     rec(0, need, [])
     return out
+
+
+def reference_certificate(g: Graph, d: int, nu: int) -> CertificateReport:
+    """Evaluate a graph against the planar class (d, nu) and its edge bound.
+
+    tight means the graph is a class member (planar, max degree below d,
+    matching number below nu) meeting the class maximum exactly.
+    """
+    planar = is_planar(g).verdict
+    maxdeg, _ = degree_stats(g)
+    nu_g = matching_number(g)
+    bound = max_edges_planar(d, nu)
+    tight = planar and maxdeg < d and nu_g < nu and g.m == bound
+    return CertificateReport(
+        d=d,
+        nu=nu,
+        graph_g6=graph6_encode(g),
+        planar=planar,
+        max_degree=maxdeg,
+        matching_number=nu_g,
+        edge_count=g.m,
+        bound=bound,
+        tight=tight,
+    )

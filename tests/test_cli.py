@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from planarext import atlas, cli, graph6_decode, graph6_encode, max_edges_planar, oracle
+from planarext import (
+    atlas,
+    cli,
+    extremal_general,
+    graph6_decode,
+    graph6_encode,
+    max_edges_planar,
+    oracle,
+    pivotal_planar,
+)
 from planarext.cli import main
 from planarext.oracle import FalsificationError
 
@@ -173,6 +182,37 @@ def test_realize_refuses_more_degrees_than_graph6_prints(monkeypatch, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == f"planarext: error: at most 258047 degrees, got {total}\n"
+
+
+def test_construct_refuses_more_vertices_than_graph6_prints(monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise ValueError("the construction was built")
+
+    monkeypatch.setattr(cli, "pivotal_planar", no_build)
+    monkeypatch.setattr(cli, "extremal_general", no_build)
+    for argv, order in (
+        (["construct", "6", "100000000"], "214285716"),
+        (["construct", "2", "200000"], "399998"),
+        (["construct", "2", "129025"], "258048"),
+        (["construct", "3", "86017", "--class", "general"], "258048"),
+        (["construct", "6", "100000000", "--class", "general"], "233333331"),
+    ):
+        for fmt in ("g6", "dot", "json"):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert code == 1 and out == ""
+            assert err == (
+                f"planarext: error: at most 258047 vertices, the construction has {order}\n"
+            )
+    # one pair fewer fits, and goes on to the builder
+    code, out, err = run(capsys, "construct", "2", "129024")
+    assert err == "planarext: error: the construction was built\n"
+
+
+def test_construct_order_matches_the_builders():
+    for d in range(-1, 13):
+        for nu in range(-1, 45):
+            assert cli._construct_order(d, nu, "planar") == pivotal_planar(d, nu).n
+            assert cli._construct_order(d, nu, "general") == extremal_general(d, nu).n
 
 
 def _resume_after_edit(tmp_path, monkeypatch, capsys, edit):

@@ -1,8 +1,9 @@
 """Byte-exact command-line outputs, pinned against files in tests/golden.
 
 The inputs are those of demos/command_line_tour.sh, plus the d = 6,
-n_max = 8 table and a two-worker checkpointed verify whose checkpoint
-journal is pinned too. The two `realize` calls of the tour are left
+n_max = 8 table, `check` on the output of `construct 6 30` for both
+classes, and a two-worker checkpointed verify whose checkpoint journal
+is pinned too. The two `realize` calls of the tour are left
 out: their answer depends on a wall-clock budget, so a slow machine may
 print "timed-out" where a fast one prints the result.
 
@@ -41,6 +42,24 @@ def test_golden_stdout(name, monkeypatch, capsys):
     # a cold table cache, so that table and verify enumerate afresh
     monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
     code = main(CASES[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+# the planar union has 29 components (four A7s, a 5-star), the general one 11
+# (nine K'_6s, which are not planar, and two 5-stars)
+CHECKED_CONSTRUCTIONS = {
+    "check_construct": ["6", "30"],
+    "check_construct_general": ["6", "30", "--class", "general"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_CONSTRUCTIONS))
+def test_golden_check_of_construct(name, capsys):
+    assert main(["construct", *CHECKED_CONSTRUCTIONS[name]]) == 0
+    g6 = capsys.readouterr().out.strip()
+    code = main(["check", g6, "--d", "6", "--nu", "30"])
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.out").read_text()

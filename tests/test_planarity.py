@@ -252,7 +252,7 @@ def test_large_planar_unions():
 _OPTIMIZED_CHILD = """
 import sys
 from types import SimpleNamespace
-from planarext import build_graph, coloring, constructions, oracle, planarity, realize
+from planarext import build_graph, coloring, constructions, oracle, planarity, realize, serialize
 
 
 def raises(label, call):
@@ -263,6 +263,8 @@ def raises(label, call):
 
 
 print("optimize", sys.flags.optimize)
+# four A7s and a 5-star, built while planarity is sound; no later step uses A7
+pivotal = constructions.pivotal_planar(6, 30)
 cycle = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
 planarity.face_count = lambda g, embedding: 0
 raises("is_planar", lambda: planarity.is_planar(cycle))
@@ -298,6 +300,8 @@ raises("vizing_color", lambda: coloring.vizing_color(triangle))
 coloring.degree_stats = real_degree_stats
 coloring.vizing_color = lambda g: SimpleNamespace(palette_size=99)
 raises("chromatic_index_exact", lambda: coloring.chromatic_index_exact(triangle))
+# face_count is still poisoned: each distinct component gets the Euler check
+raises("certificate", lambda: serialize.certificate(pivotal, 6, 30))
 """
 
 
@@ -320,4 +324,5 @@ def test_certify_checks_survive_optimize():
         "realize",
         "vizing_color",
         "chromatic_index_exact",
+        "certificate",
     ]

@@ -12,14 +12,21 @@ from planarext import (
     build_graph,
     certificate,
     complete,
+    disjoint_union,
     dot_export,
+    extremal_general,
     graph6_decode,
     graph6_encode,
     pivotal_planar,
+    serialize,
     star,
 )
 
-from oracles import reference_graph6_decode, reference_graph6_encode
+from oracles import (
+    reference_certificate,
+    reference_graph6_decode,
+    reference_graph6_encode,
+)
 
 # SHA-256 of the newline-joined encodings of _codec_corpus(), computed with
 # the bit-by-bit reference encoder before the codec moved onto bitmasks
@@ -168,6 +175,77 @@ def test_certificate_tight_requires_membership():
     rep = certificate(star(4), 5, 3)
     assert rep.planar and rep.max_degree < 5 and rep.matching_number < 3
     assert not rep.tight
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _certificate_cases():
+    """(graph, d, nu) triples on which certificate must match the whole-graph reference."""
+    cases = [(pivotal_planar(d, nu), d, nu) for d in range(2, 11) for nu in range(2, 41)]
+    # the general families have non-planar components
+    cases += [(extremal_general(d, nu), d, nu) for d in range(2, 11) for nu in range(2, 14)]
+    # labels shuffled, so that no component is contiguous
+    rng = random.Random(9)
+    for d, nu in ((3, 9), (4, 12), (5, 8), (6, 30), (6, 12), (7, 6), (10, 5)):
+        for build in (pivotal_planar, extremal_general):
+            cases.append((_shuffled(build(d, nu), rng), d, nu))
+    # planar copies with one Kuratowski graph among them
+    k33 = build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    a7, a4 = atlas("A7"), atlas("A4")
+    for bad in (complete(5), k33):
+        for parts in ([a7, a7, bad], [bad, a7, a4], [a7, bad, a7, star(5)]):
+            g = disjoint_union(*parts)
+            cases += [(g, 6, 20), (_shuffled(g, rng), 6, 20)]
+    # isolated vertices, before, between and after the other components
+    empty = build_graph(1, [])
+    for parts in (
+        [empty, a7, empty, a7],
+        [a4, empty, empty, star(5), empty],
+        [empty] * 4,
+        [complete(5), empty, a7],
+    ):
+        g = disjoint_union(*parts)
+        cases += [(g, 6, 12), (_shuffled(g, rng), 6, 12)]
+    cases += [(build_graph(0, []), 6, 8), (empty, 6, 8), (empty, 1, 0)]
+    return cases
+
+
+def test_certificate_matches_whole_graph_reference():
+    for g, d, nu in _certificate_cases():
+        got, want = certificate(g, d, nu), reference_certificate(g, d, nu)
+        assert got == want, (g, d, nu)
+        assert got.to_json() == want.to_json()
+
+
+def test_certificate_certifies_each_distinct_component_once(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(g):
+            calls.append((fn.__name__, g.n))
+            return fn(g)
+
+        return wrapper
+
+    monkeypatch.setattr(serialize, "is_planar", counted(serialize.is_planar))
+    monkeypatch.setattr(serialize, "matching_number", counted(serialize.matching_number))
+    # four A7s, then one 5-star: 29 components, 2 distinct
+    rep = certificate(pivotal_planar(6, 30), 6, 30)
+    assert rep.tight and rep.matching_number == 29
+    assert sorted(calls) == [("is_planar", 6), ("is_planar", 15)] + [
+        ("matching_number", 6),
+        ("matching_number", 15),
+    ]
+    # planarity stops at the first non-planar component, by smallest vertex
+    calls.clear()
+    g = disjoint_union(star(5), complete(5), complete(5), atlas("A7"))
+    rep = certificate(g, 6, 8)
+    assert not rep.planar and rep.matching_number == 1 + 2 + 2 + 7
+    assert [c for c in calls if c[0] == "is_planar"] == [("is_planar", 6), ("is_planar", 5)]
 
 
 def test_codec_matches_reference():

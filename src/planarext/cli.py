@@ -19,7 +19,7 @@ from .constructions import extremal_general, pivotal_planar
 from .enumeration import BudgetExceededError
 from .oracle import FalsificationError, component_table, verify_theorem
 from .realize import realize_degree_sequence_planar
-from .serialize import certificate, dot_export, graph6_decode, graph6_encode
+from .serialize import _G6_MAX_ORDER, certificate, dot_export, graph6_decode, graph6_encode
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,31 +85,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# the largest order graph6 can print, hence the most degrees realize takes
-# and the largest construction construct builds
-_MAX_ORDER = 258047
-
-
-def _construct_order(d: int, nu: int, cls: str) -> int:
-    """Order of the graph `construct d nu --class cls` builds, without building it."""
-    k = nu - 1
-    if d < 2 or k < 1:
-        return 0
-    if cls == "general":
-        # K'_d (d + 1 vertices, d even) or K_d (d odd), then d-vertex stars
-        q, r = divmod(k, d // 2)
-        return q * (d + 1 - d % 2) + r * d
-    if d in (4, 5):
-        # K'_4 or K5 minus an edge, then one d-vertex star
-        return 5 * (k // 2) + d * (k % 2)
-    if d == 6:
-        # A7 (15 vertices), then A4 (9) and 6-vertex stars
-        q, r = divmod(k, 7)
-        return 15 * q + (9 + 6 * (r - 4) if r >= 4 else 6 * r)
-    # K2, triangles or (d-1)-stars: d vertices each
-    return d * k
-
-
 def _parse_degree_tokens(tokens: Sequence[str]) -> list[int]:
     pairs: list[tuple[int, int]] = []
     for tok in tokens:
@@ -123,8 +98,9 @@ def _parse_degree_tokens(tokens: Sequence[str]) -> list[int]:
             raise ValueError(f"bad repeat count in {tok!r}")
         pairs.append((value, repeat))
     total = sum(repeat for _value, repeat in pairs)
-    if total > _MAX_ORDER:
-        raise ValueError(f"at most {_MAX_ORDER} degrees, got {total}")
+    # graph6 prints no larger order
+    if total > _G6_MAX_ORDER:
+        raise ValueError(f"at most {_G6_MAX_ORDER} degrees, got {total}")
     return [value for value, repeat in pairs for _ in range(repeat)]
 
 
@@ -139,9 +115,6 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "construct":
-        order = _construct_order(args.d, args.nu, args.cls)
-        if order > _MAX_ORDER:
-            raise ValueError(f"at most {_MAX_ORDER} vertices, the construction has {order}")
         build = pivotal_planar if args.cls == "planar" else extremal_general
         g = build(args.d, args.nu)
         if args.format == "g6":

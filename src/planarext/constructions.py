@@ -6,18 +6,21 @@ drawings, so their constructor cross-checks every published statistic
 and refuses to hand out a graph that fails any of them. The pivotal
 families assemble disjoint unions that meet the planar bound exactly;
 the general-case families meet the unrestricted bound but need not be
-planar.
+planar. Each family is one recipe of component types, copies and
+orders, so that the union's order is known before any part is built.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache
+from functools import cache, partial
+from typing import Callable
 
 from .bounds import max_edges_general, max_edges_planar
 from .graphs import Graph, build_graph, degree_stats, disjoint_union
 from .matching import matching_number
 from .planarity import is_planar
+from .serialize import _G6_MAX_ORDER
 
 
 class AtlasName(Enum):
@@ -160,36 +163,61 @@ def atlas(name: AtlasName | str) -> Graph:
     return _checked_atlas(AtlasName(name))
 
 
+# one entry per component type, largest first: (copies, order, builder)
+_Recipe = list[tuple[int, int, Callable[[], Graph]]]
+
+
+def _planar_recipe(d: int, nu: int) -> _Recipe:
+    k = nu - 1
+    if d < 2 or k < 1:
+        return []
+    if d == 4:
+        return [(k // 2, 5, partial(k_prime, 4)), (k % 2, 4, partial(star, 3))]
+    if d == 5:
+        return [(k // 2, 5, partial(atlas, AtlasName.K5_MINUS)), (k % 2, 5, partial(star, 4))]
+    if d == 6:
+        q, r = divmod(k, 7)
+        a4 = int(r >= 4)
+        return [
+            (q, 15, partial(atlas, AtlasName.A7)),
+            (a4, 9, partial(atlas, AtlasName.A4)),
+            (r - 4 * a4, 6, partial(star, 5)),
+        ]
+    # K2 for d = 2, triangles for d = 3, (d-1)-stars otherwise: d vertices each
+    return [(k, d, partial(complete, d) if d <= 3 else partial(star, d - 1))]
+
+
+def _general_recipe(d: int, nu: int) -> _Recipe:
+    k = nu - 1
+    if d < 2 or k < 1:
+        return []
+    q, r = divmod(k, d // 2)
+    big = (q, d, partial(complete, d)) if d % 2 else (q, d + 1, partial(k_prime, d))
+    return [big, (r, d, partial(star, d - 1))]
+
+
+def _assemble(recipe: _Recipe) -> Graph:
+    """The union a recipe lists, each component type with copies built once.
+
+    An order graph6 cannot print raises ValueError before anything is built.
+    """
+    order = sum(copies * n for copies, n, _build in recipe)
+    if order > _G6_MAX_ORDER:
+        raise ValueError(f"at most {_G6_MAX_ORDER} vertices, the construction has {order}")
+    return disjoint_union(
+        *[g for copies, _n, build in recipe if copies for g in [build()] * copies]
+    )
+
+
 def pivotal_planar(d: int, nu: int) -> Graph:
     """The planar extremal family for (d, nu): meets max_edges_planar exactly.
 
     Disjoint union, largest components first: triangles for d=3, K'_4 or
     K5 minus an edge plus a leftover star for d in {4,5}, copies of A7
     with an A4/star remainder for d=6, and bare (d-1)-stars otherwise.
+    Above 258,047 vertices it raises ValueError before building anything.
     """
-    k = nu - 1
-    if d < 2 or k < 1:
-        return build_graph(0, [])
-    comps: list[Graph] = []
-    if d == 2:
-        comps = [complete(2)] * k
-    elif d == 3:
-        comps = [complete(3)] * k
-    elif d == 4:
-        comps = [k_prime(4)] * (k // 2) + [star(3)] * (k % 2)
-    elif d == 5:
-        comps = [atlas(AtlasName.K5_MINUS)] * (k // 2) + [star(4)] * (k % 2)
-    elif d == 6:
-        r = k % 7
-        comps = [atlas(AtlasName.A7)] * (k // 7)
-        if r >= 4:
-            comps.append(atlas(AtlasName.A4))
-            comps.extend([star(5)] * (r - 4))
-        else:
-            comps.extend([star(5)] * r)
-    else:
-        comps = [star(d - 1)] * k
-    g = disjoint_union(*comps)
+    g = _assemble(_planar_recipe(d, nu))
     if g.m != max_edges_planar(d, nu):
         raise AssertionError(f"pivotal_planar({d}, {nu}) has {g.m} edges, not the bound")
     return g
@@ -200,14 +228,9 @@ def extremal_general(d: int, nu: int) -> Graph:
 
     With nu-1 = q*ceil((d-1)/2) + r, returns q copies of K'_d (d even) or
     K_d (d odd) followed by r stars K_{1,d-1}. Not planar in general.
+    Above 258,047 vertices it raises ValueError before building anything.
     """
-    k = nu - 1
-    if d < 2 or k < 1:
-        return build_graph(0, [])
-    c = d // 2
-    q, r = divmod(k, c)
-    big = k_prime(d) if d % 2 == 0 else complete(d)
-    g = disjoint_union(*([big] * q + [star(d - 1)] * r))
+    g = _assemble(_general_recipe(d, nu))
     if g.m != max_edges_general(d, nu):
         raise AssertionError(f"extremal_general({d}, {nu}) has {g.m} edges, not the bound")
     return g

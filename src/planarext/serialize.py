@@ -30,6 +30,7 @@ from .graphs import Graph, _component_masks, bits, degree_stats
 from .matching import matching_number
 from .planarity import is_planar
 
+_G6_MAX_ORDER = 258047  # the largest order a four-byte header holds; no longer one is read
 _G6_BYTES = bytes(range(63, 127))
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_G6 = bytes.maketrans(_BASE64, _G6_BYTES)
@@ -39,8 +40,8 @@ _FROM_G6 = bytes.maketrans(_G6_BYTES, _BASE64)
 def graph6_encode(g: Graph) -> str:
     """graph6 string for g (short form for n <= 62, long form above)."""
     n = g.n
-    if n > 258047:
-        raise ValueError("graph6 supports at most 258047 vertices")
+    if n > _G6_MAX_ORDER:
+        raise ValueError(f"graph6 supports at most {_G6_MAX_ORDER} vertices")
     if n <= 62:
         header = chr(n + 63)
     else:
@@ -70,7 +71,7 @@ def graph6_decode(text: str) -> Graph:
         raise ValueError("graph6 bytes must be printable ASCII in [63, 126]")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
-            raise ValueError("graph6 orders above 258047 are not supported")
+            raise ValueError(f"graph6 orders above {_G6_MAX_ORDER} are not supported")
         if len(data) < 4:
             raise ValueError("truncated long-form graph6 header")
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
@@ -108,18 +109,11 @@ def graph6_decode(text: str) -> Graph:
     return Graph(n, tuple(map(tuple, rows)))
 
 
-def dot_export(g: Graph, labels: dict[int, str] | None = None) -> str:
+def dot_export(g: Graph) -> str:
     """DOT text for g: one node line per vertex, one edge line per edge."""
-    lines = ["graph G {"]
-    for v in range(g.n):
-        if labels and v in labels:
-            lines.append(f'  {v} [label="{labels[v]}"];')
-        else:
-            lines.append(f"  {v};")
-    for u, v in g.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = [f"  {v};" for v in range(g.n)]
+    edges = [f"  {u} -- {v};" for u, v in g.edges()]
+    return "\n".join(["graph G {", *nodes, *edges, "}"]) + "\n"
 
 
 @dataclass(frozen=True)

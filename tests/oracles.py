@@ -23,7 +23,11 @@ over all darts with a seen set, and the reference Erdős–Gallai residual
 check and the group selections of realize are the package's earlier
 quadratic check and eager list. The reference certificate is the
 package's earlier one, which runs planarity and blossom once over the
-whole graph instead of once per distinct component.
+whole graph instead of once per distinct component. The reference
+extremal families are the package's earlier builders, which build every
+component type, used or not, and learn the order only from the finished
+union; the reference verdict is the package's earlier one, which solves
+a fresh knapsack for every mu it checks for domination.
 """
 
 from __future__ import annotations
@@ -32,11 +36,19 @@ import math
 from itertools import combinations, permutations
 
 from planarext import Graph
-from planarext.bounds import max_edges_planar
+from planarext.bounds import max_edges_general, max_edges_planar
 from planarext.canon import canonical_form_masks
+from planarext.constructions import AtlasName, atlas, complete, k_prime, star
 from planarext.enumeration import _accepts_new_vertex
-from planarext.graphs import bits, build_graph, component_counts, degree_stats
+from planarext.graphs import bits, build_graph, component_counts, degree_stats, disjoint_union
 from planarext.matching import matching_number
+from planarext.oracle import (
+    ComponentRecord,
+    FalsificationError,
+    Verdict,
+    _component_cap,
+    component_table,
+)
 from planarext.planarity import _decide, is_planar
 from planarext.serialize import CertificateReport, graph6_encode
 
@@ -786,3 +798,104 @@ def reference_certificate(g: Graph, d: int, nu: int) -> CertificateReport:
         bound=bound,
         tight=tight,
     )
+
+
+# The extremal families as the package built them before their recipes:
+# each component built whether or not it is used, and the order known only
+# once the union exists. The recipes must reproduce these graphs exactly.
+
+
+def reference_pivotal_planar(d: int, nu: int) -> Graph:
+    """The planar extremal family for (d, nu): meets max_edges_planar exactly.
+
+    Disjoint union, largest components first: triangles for d=3, K'_4 or
+    K5 minus an edge plus a leftover star for d in {4,5}, copies of A7
+    with an A4/star remainder for d=6, and bare (d-1)-stars otherwise.
+    """
+    k = nu - 1
+    if d < 2 or k < 1:
+        return build_graph(0, [])
+    comps: list[Graph] = []
+    if d == 2:
+        comps = [complete(2)] * k
+    elif d == 3:
+        comps = [complete(3)] * k
+    elif d == 4:
+        comps = [k_prime(4)] * (k // 2) + [star(3)] * (k % 2)
+    elif d == 5:
+        comps = [atlas(AtlasName.K5_MINUS)] * (k // 2) + [star(4)] * (k % 2)
+    elif d == 6:
+        r = k % 7
+        comps = [atlas(AtlasName.A7)] * (k // 7)
+        if r >= 4:
+            comps.append(atlas(AtlasName.A4))
+            comps.extend([star(5)] * (r - 4))
+        else:
+            comps.extend([star(5)] * r)
+    else:
+        comps = [star(d - 1)] * k
+    g = disjoint_union(*comps)
+    if g.m != max_edges_planar(d, nu):
+        raise AssertionError(f"pivotal_planar({d}, {nu}) has {g.m} edges, not the bound")
+    return g
+
+
+def reference_extremal_general(d: int, nu: int) -> Graph:
+    """The unrestricted extremal family: meets max_edges_general exactly.
+
+    With nu-1 = q*ceil((d-1)/2) + r, returns q copies of K'_d (d even) or
+    K_d (d odd) followed by r stars K_{1,d-1}. Not planar in general.
+    """
+    k = nu - 1
+    if d < 2 or k < 1:
+        return build_graph(0, [])
+    c = d // 2
+    q, r = divmod(k, c)
+    big = k_prime(d) if d % 2 == 0 else complete(d)
+    g = disjoint_union(*([big] * q + [star(d - 1)] * r))
+    if g.m != max_edges_general(d, nu):
+        raise AssertionError(f"extremal_general({d}, {nu}) has {g.m} edges, not the bound")
+    return g
+
+
+# The oracle's verdict as the package reached it before one knapsack row
+# served the whole domination loop: one fresh knapsack per mu.
+
+
+def reference_combine(table: list[ComponentRecord], nu: int) -> int:
+    """Best total edges over disjoint unions with matching number < nu.
+
+    Unbounded knapsack: components may repeat, their matching numbers must
+    sum to at most nu-1.
+    """
+    budget = nu - 1
+    if budget <= 0:
+        return 0
+    f = [0] * (budget + 1)
+    for b in range(1, budget + 1):
+        value = f[b - 1]
+        for rec in table:
+            if rec.mu <= b:
+                value = max(value, f[b - rec.mu] + rec.best_edges)
+        f[b] = value
+    return f[budget]
+
+
+def reference_verify_theorem(
+    d: int, nu: int, n_max: int, *, workers: int = 1, checkpoint: str | None = None
+) -> Verdict:
+    """Compare the recombination oracle against the closed-form bound."""
+    table = component_table(d, n_max, workers=workers, checkpoint=checkpoint)
+    oracle_value = reference_combine(table, nu)
+    formula_value = max_edges_planar(d, nu)
+    if oracle_value > formula_value:
+        raise FalsificationError(d, nu, oracle_value, formula_value)
+    if oracle_value < formula_value:
+        return Verdict("inconclusive", oracle_value, formula_value)
+    exhaustive_records = [rec for rec in table if rec.exhaustive]
+    for mu in range(1, nu):
+        if 2 * mu + 1 <= n_max:
+            continue
+        if _component_cap(d, mu) > reference_combine(exhaustive_records, mu + 1):
+            return Verdict("realizable-only", oracle_value, formula_value)
+    return Verdict("confirmed", oracle_value, formula_value)

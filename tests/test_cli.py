@@ -7,12 +7,11 @@ import pytest
 from planarext import (
     atlas,
     cli,
-    extremal_general,
+    constructions,
     graph6_decode,
     graph6_encode,
     max_edges_planar,
     oracle,
-    pivotal_planar,
 )
 from planarext.cli import main
 from planarext.oracle import FalsificationError
@@ -156,6 +155,8 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
     for argv in (
         ["verify", "--d", "6", "--nu", "3", "--n-max", "0"],
+        ["verify", "--d", "6", "--nu", "0", "--n-max", "8"],
+        ["verify", "--d", "6", "--nu", "-3", "--n-max", "8"],
         ["table", "--d", "4", "--n-max", "-3"],
         ["verify", "--d", "3", "--nu", "6", "--n-max", "5", "--workers", "0"],
         ["table", "--d", "6", "--n-max", "11"],
@@ -185,11 +186,11 @@ def test_realize_refuses_more_degrees_than_graph6_prints(monkeypatch, capsys):
 
 
 def test_construct_refuses_more_vertices_than_graph6_prints(monkeypatch, capsys):
-    def no_build(*args, **kwargs):
+    # the builders refuse; a construction that fits goes on to the union
+    def no_union(*args, **kwargs):
         raise ValueError("the construction was built")
 
-    monkeypatch.setattr(cli, "pivotal_planar", no_build)
-    monkeypatch.setattr(cli, "extremal_general", no_build)
+    monkeypatch.setattr(constructions, "disjoint_union", no_union)
     for argv, order in (
         (["construct", "6", "100000000"], "214285716"),
         (["construct", "2", "200000"], "399998"),
@@ -203,16 +204,9 @@ def test_construct_refuses_more_vertices_than_graph6_prints(monkeypatch, capsys)
             assert err == (
                 f"planarext: error: at most 258047 vertices, the construction has {order}\n"
             )
-    # one pair fewer fits, and goes on to the builder
+    # one pair fewer fits, and goes on to the union
     code, out, err = run(capsys, "construct", "2", "129024")
     assert err == "planarext: error: the construction was built\n"
-
-
-def test_construct_order_matches_the_builders():
-    for d in range(-1, 13):
-        for nu in range(-1, 45):
-            assert cli._construct_order(d, nu, "planar") == pivotal_planar(d, nu).n
-            assert cli._construct_order(d, nu, "general") == extremal_general(d, nu).n
 
 
 def _resume_after_edit(tmp_path, monkeypatch, capsys, edit):

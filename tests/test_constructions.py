@@ -8,6 +8,7 @@ from planarext import (
     certificate,
     complete,
     connected_components,
+    constructions,
     degree_stats,
     extremal_general,
     is_factor_critical,
@@ -18,6 +19,11 @@ from planarext import (
     pivotal_planar,
     star,
 )
+from planarext.constructions import _general_recipe, _planar_recipe
+
+from oracles import reference_extremal_general, reference_pivotal_planar
+
+GRID = [(d, nu) for d in range(-1, 13) for nu in range(-1, 45)]
 
 
 ATLAS_STATS = {
@@ -121,3 +127,47 @@ def test_extremal_general_not_always_planar():
     g = extremal_general(7, 4)  # complete blocks on 7 vertices
     assert not is_planar(g).verdict
     assert is_planar(extremal_general(3, 5)).verdict
+
+
+def test_families_match_the_reference_builders():
+    for d, nu in GRID:
+        assert pivotal_planar(d, nu) == reference_pivotal_planar(d, nu), (d, nu)
+        assert extremal_general(d, nu) == reference_extremal_general(d, nu), (d, nu)
+
+
+def test_recipe_orders_match_the_built_graphs():
+    families = ((_planar_recipe, pivotal_planar), (_general_recipe, extremal_general))
+    for d, nu in GRID:
+        for recipe, build in families:
+            entries = recipe(d, nu)
+            assert sum(copies * n for copies, n, _ in entries) == build(d, nu).n, (d, nu)
+            for copies, n, make in entries:
+                assert make().n == n, (d, nu)
+
+
+def _forbid(monkeypatch, *names):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built")
+
+    for name in names:
+        monkeypatch.setattr(constructions, name, refuse)
+
+
+def test_builders_refuse_unions_graph6_cannot_print(monkeypatch):
+    _forbid(monkeypatch, "star", "complete", "k_prime", "atlas", "disjoint_union")
+    for build, d, nu, order in (
+        (pivotal_planar, 6, 10**8, 214285716),
+        (extremal_general, 10**9, 2, 10**9),
+        (extremal_general, 6, 10**8, 233333331),
+    ):
+        message = f"at most 258047 vertices, the construction has {order}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(d, nu)
+
+
+def test_component_types_without_copies_are_not_built(monkeypatch):
+    _forbid(monkeypatch, "complete")
+    g = extremal_general(2001, 2)  # no K_2001, one 2000-star
+    assert (g.n, g.m, degree_stats(g)[0]) == (2001, 2000, 2000)
+    _forbid(monkeypatch, "star")
+    assert pivotal_planar(6, 8).m == 37  # one A7 and no star

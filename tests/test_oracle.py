@@ -24,6 +24,8 @@ from planarext import (
 from planarext import oracle
 from planarext.oracle import _component_cap
 
+from oracles import reference_verify_theorem
+
 
 EXPECTED_TABLES = {
     (3, 5): {1: 3, 2: 5},
@@ -103,6 +105,26 @@ def test_verify_confirmed_grid():
             assert verdict.status == "confirmed", (d, nu, verdict)
             assert verdict.oracle_value == verdict.formula_value
             assert verdict.formula_value == max_edges_planar(d, nu)
+
+
+def test_verify_matches_per_mu_knapsack_reference():
+    for d, n_max in ((3, 5), (4, 7), (5, 7), (6, 8)):
+        for nu in range(1, 100):
+            assert verify_theorem(d, nu, n_max) == reference_verify_theorem(d, nu, n_max)
+
+
+def test_verify_solves_one_domination_row(monkeypatch):
+    rows = []
+    build_row = oracle._knapsack_row
+
+    def counted(table, budget):
+        rows.append(budget)
+        return build_row(table, budget)
+
+    monkeypatch.setattr(oracle, "_knapsack_row", counted)
+    v = verify_theorem(4, 500, 7)
+    assert v.status == "confirmed" and v.oracle_value == max_edges_planar(4, 500)
+    assert rows == [499, 499]  # the oracle value, then every mu's domination check
 
 
 def test_verify_documented_examples():
@@ -261,6 +283,16 @@ def test_rejects_nonsensical_sizes():
             component_table(4, n_max, workers=workers)
     with pytest.raises(ValueError):
         verify_theorem(6, 3, 0)
+
+
+def test_verify_rejects_nu_out_of_range_before_the_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(oracle, "component_table", no_table)
+    for nu in (0, -3, 10**6 + 1, 10**9):
+        with pytest.raises(ValueError, match="^nu must be between 1 and 1000000$"):
+            verify_theorem(6, nu, 8)
 
 
 def test_table_over_budget_fails_before_any_work(monkeypatch):

@@ -140,8 +140,6 @@ def test_dot_export_shapes():
     edge_lines = [ln for ln in a4.splitlines() if "--" in ln]
     assert len(node_lines) == 9
     assert len(edge_lines) == 21
-    labeled = dot_export(build_graph(2, [(0, 1)]), labels={0: "root"})
-    assert '0 [label="root"];' in labeled
 
 
 def test_certificate_fields_and_json():

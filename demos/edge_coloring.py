@@ -19,8 +19,8 @@ from planarext import (
     atlas,
     chromatic_index_exact,
     complete,
-    degree_stats,
     matching_number,
+    max_degree,
     partition_bound_check,
     pivotal_planar,
     vizing_color,
@@ -37,7 +37,7 @@ for name in ("K5_MINUS", "A4", "A5", "A6", "A7"):
     coloring = vizing_color(g)
     sizes = Counter(coloring.color_of.values())
     print(
-        f"  {name:9s} maxdeg={degree_stats(g)[0]} "
+        f"  {name:9s} maxdeg={max_degree(g)} "
         f"palette={coloring.palette_size} "
         f"class sizes={sorted(sizes.values(), reverse=True)}"
     )
@@ -54,7 +54,7 @@ print(
     f"exceeds={check.exceeds}"
 )
 assert check.exceeds
-assert chromatic_index_exact(g) == degree_stats(g)[0] + 1
+assert chromatic_index_exact(g) == max_degree(g) + 1
 print("exact solver agrees: chromatic index = maxdeg + 1 = 5")
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ from planarext import (
     atlas,
     certificate,
     connected_components,
-    degree_stats,
     dot_export,
     extremal_general,
     is_factor_critical,
     is_planar,
     k_prime,
     matching_number,
+    max_degree,
     max_edges_general,
     max_edges_planar,
     pivotal_planar,
@@ -36,9 +36,8 @@ from planarext import (
 print("atlas exhibits")
 for name in ("K5_MINUS", "A4", "A5", "A6", "A7"):
     g = atlas(name)
-    maxdeg = degree_stats(g)[0]
     print(
-        f"  {name:9s} n={g.n:2d} m={g.m:2d} maxdeg={maxdeg} "
+        f"  {name:9s} n={g.n:2d} m={g.m:2d} maxdeg={max_degree(g)} "
         f"nu={matching_number(g)} planar={is_planar(g).verdict} "
         f"factor_critical={is_factor_critical(g)}"
     )
@@ -86,7 +85,7 @@ for d, nu in ((5, 4), (6, 4), (7, 4)):
 
 kp = k_prime(6)
 print(
-    f"\nk_prime(6): n={kp.n} m={kp.m} maxdeg={degree_stats(kp)[0]} "
+    f"\nk_prime(6): n={kp.n} m={kp.m} maxdeg={max_degree(kp)} "
     f"nu={matching_number(kp)} factor_critical={is_factor_critical(kp)}"
 )
 

@@ -52,6 +52,14 @@ print(f"witness type: {classify_kuratowski(result.witness)}")
 witness_graph = build_graph(k5.n, result.witness)
 assert not is_planar(witness_graph).verdict
 
+# The type is read from the witness's own branch paths, each walked from
+# both ends, so an edge set that is more than a subdivision is refused:
+# here the K5 witness plus a disjoint triangle.
+try:
+    classify_kuratowski(result.witness + ((5, 6), (6, 7), (5, 7)))
+except ValueError as exc:
+    print(f"K5 witness plus a triangle: {exc}")
+
 # ---------------------------------------------------------------------------
 # Seven vertices, all degrees 4, is impossible in the plane: 14 edges
 # obeys m <= 3n - 6 = 15, so edge counting alone cannot rule it out

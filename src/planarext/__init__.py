@@ -32,15 +32,14 @@ from .constructions import (
 )
 from .enumeration import BudgetExceededError, enumerate_connected
 from .graphs import (
-    DegreeSequence,
     Graph,
     build_graph,
     complement,
     connected_components,
-    degree_stats,
     disjoint_union,
     induced_subgraph,
     is_connected,
+    max_degree,
 )
 from .matching import (
     Matching,
@@ -82,7 +81,6 @@ __all__ = [
     "BudgetExceededError",
     "CertificateReport",
     "ComponentRecord",
-    "DegreeSequence",
     "EdgeColoring",
     "FalsificationError",
     "Graph",
@@ -103,7 +101,6 @@ __all__ = [
     "complete",
     "component_table",
     "connected_components",
-    "degree_stats",
     "disjoint_union",
     "dot_export",
     "enumerate_connected",
@@ -121,6 +118,7 @@ __all__ = [
     "is_planar",
     "k_prime",
     "matching_number",
+    "max_degree",
     "max_edges_general",
     "max_edges_outerplanar",
     "max_edges_planar",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graphs import Graph, degree_stats
+from .graphs import Graph, max_degree
 from .matching import matching_number
 
 
@@ -47,7 +47,7 @@ class EdgeColoring:
 
 def vizing_color(g: Graph) -> EdgeColoring:
     """Proper edge coloring with at most Δ+1 colors (exactly Δ colors often)."""
-    delta = degree_stats(g)[0]
+    delta = max_degree(g)
     color: dict[tuple[int, int], int] = {}
     at: list[dict[int, int]] = [dict() for _ in range(g.n)]  # vertex -> color -> mate
 
@@ -141,7 +141,7 @@ def chromatic_index_exact(g: Graph) -> int:
         return 0
     if g.m > 40:
         raise InstanceTooLargeError(f"exact solver limited to 40 edges, got {g.m}")
-    delta = degree_stats(g)[0]
+    delta = max_degree(g)
     edges = sorted(g.edges(), key=lambda e: -(g.degree(e[0]) + g.degree(e[1])))
     conflicts: list[list[int]] = []
     for i, (u, v) in enumerate(edges):
@@ -186,5 +186,5 @@ def partition_bound_check(g: Graph) -> PartitionBound:
     A proper Δ-coloring would partition the edges into Δ matchings of
     size at most ν each, so |E| > Δ·ν rules it out.
     """
-    threshold = degree_stats(g)[0] * matching_number(g)
+    threshold = max_degree(g) * matching_number(g)
     return PartitionBound(threshold, g.m > threshold)

@@ -17,7 +17,7 @@ from functools import cache, partial
 from typing import Callable
 
 from .bounds import max_edges_general, max_edges_planar
-from .graphs import Graph, build_graph, degree_stats, disjoint_union
+from .graphs import Graph, build_graph, disjoint_union, max_degree
 from .matching import matching_number
 from .planarity import is_planar
 from .serialize import _G6_MAX_ORDER
@@ -62,8 +62,14 @@ def k_prime(d: int) -> Graph:
     return build_graph(d + 1, edges)
 
 
-# adjacency transcribed from drawings, keyed by figure labels
+# adjacency keyed by figure labels: K5 minus the edge 4-5, then A4..A7
+# as transcribed from drawings
 _ATLAS_RAW: dict[AtlasName, dict[int, tuple[int, ...]]] = {
+    AtlasName.K5_MINUS: {
+        1: (2, 3, 4, 5),
+        2: (3, 4, 5),
+        3: (4, 5),
+    },
     AtlasName.A4: {
         1: (2, 3, 4, 5, 6),
         2: (3, 6, 9, 12),
@@ -129,10 +135,6 @@ _ATLAS_STATS: dict[AtlasName, tuple[int, int, int, int]] = {
 
 
 def _build_atlas(name: AtlasName) -> Graph:
-    if name is AtlasName.K5_MINUS:
-        edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-        edges.remove((3, 4))
-        return build_graph(5, edges)
     raw = _ATLAS_RAW[name]
     labels = sorted(set(raw) | {w for row in raw.values() for w in row})
     index = {label: i for i, label in enumerate(labels)}
@@ -144,7 +146,7 @@ def _build_atlas(name: AtlasName) -> Graph:
 def _checked_atlas(name: AtlasName) -> Graph:
     g = _build_atlas(name)
     n, m, maxdeg, nu = _ATLAS_STATS[name]
-    got = (g.n, g.m, degree_stats(g)[0], matching_number(g))
+    got = (g.n, g.m, max_degree(g), matching_number(g))
     if got != (n, m, maxdeg, nu):
         raise AssertionError(f"{name.value}: {got} != {(n, m, maxdeg, nu)}")
     if not is_planar(g).verdict:

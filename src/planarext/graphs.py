@@ -77,31 +77,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
-    """A graphical-candidate degree sequence, stored non-increasing.
-
-    The even-sum requirement is structural (every graph has even degree
-    sum), so it is enforced here rather than at each use site.
-    """
-
-    entries: tuple[int, ...]
-
-    def __init__(self, entries: Iterable[int]) -> None:
-        object.__setattr__(self, "entries", tuple(sorted(entries, reverse=True)))
-        if any(e < 0 for e in self.entries):
-            raise ValueError("degrees must be non-negative")
-        if sum(self.entries) % 2 != 0:
-            raise ValueError("degree sum must be even")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate pairs collapse silently."""
     if n < 0:
@@ -150,10 +125,9 @@ def complement(g: Graph) -> Graph:
     return from_masks(g.n, masks)
 
 
-def degree_stats(g: Graph) -> tuple[int, DegreeSequence]:
-    """(maximum degree, degree sequence); the empty graph has max degree 0."""
-    maxdeg = max(g.degrees, default=0)
-    return maxdeg, DegreeSequence(g.degrees)
+def max_degree(g: Graph) -> int:
+    """The maximum degree; the empty graph has maximum degree 0."""
+    return max(g.degrees, default=0)
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:

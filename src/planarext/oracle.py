@@ -40,7 +40,7 @@ from .bounds import max_edges_planar
 from .canon import canonical_form
 from .constructions import star
 from .enumeration import _check_budget, _children, _levels
-from .graphs import Graph, degree_stats, from_masks, is_connected
+from .graphs import Graph, from_masks, is_connected, max_degree
 from .matching import matching_number
 from .planarity import is_planar
 from .serialize import graph6_decode, graph6_encode
@@ -145,7 +145,7 @@ def _merge_sidecar(best: _Best, payload: dict[str, list], d: int) -> None:
             )
         edges, g6 = record
         g = graph6_decode(g6)
-        if not (is_connected(g) and degree_stats(g)[0] < d and is_planar(g).verdict):
+        if not (is_connected(g) and max_degree(g) < d and is_planar(g).verdict):
             raise ValueError(
                 f"checkpoint witness for mu={mu_text} is not a connected planar "
                 f"graph with max degree below {d}"
@@ -299,7 +299,7 @@ def component_table(
         edges, _form, witness = best[mu]
         if not is_connected(witness):
             raise AssertionError(f"witness for mu={mu}: not connected")
-        if not degree_stats(witness)[0] < d:
+        if not max_degree(witness) < d:
             raise AssertionError(f"witness for mu={mu}: max degree not below {d}")
         if matching_number(witness) != mu:
             raise AssertionError(f"witness for mu={mu}: wrong matching number")

@@ -5,7 +5,7 @@ that back edges can be two-sided consistently via a stack of conflict
 pairs). Planar graphs additionally get a rotation-system embedding out of
 the signed nesting order; non-planar graphs get a witness edge set that
 is an edge-minimal non-planar subgraph, hence a subdivision of K5 or
-K3,3, which classify_kuratowski verifies by suppressing degree-2 vertices.
+K3,3, which classify_kuratowski verifies by walking its branch paths.
 
 Disconnected input is handled per component. Graphs with at most two
 vertices are planar by definition.
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .canon import canonical_form
-from .graphs import Graph, bits, build_graph, component_counts
+from .graphs import Graph, bits, component_counts
 
 
 @dataclass(frozen=True)
@@ -352,47 +351,44 @@ def _minimize_witness(g: Graph) -> tuple[tuple[int, int], ...]:
 
 
 def classify_kuratowski(witness: tuple[tuple[int, int], ...]) -> str:
-    """Suppress degree-2 vertices of a witness; expect exactly K5 or K3,3.
+    """Walk each branch-to-branch path of a witness from both ends; expect K5 or K3,3.
 
-    Returns "K5" or "K33"; raises ValueError when the edge set is not a
-    subdivision of either, so a bogus witness can never pass silently.
+    Branch vertices have degree >= 3. The walks from them must cover every
+    witness edge twice, no two paths may join the same pair of branch
+    vertices, and the pairs must be those of K5 or of K3,3. A loop is
+    walked from both its ends and so repeats its pair, and a path to a
+    leaf is walked from one end only. Returns "K5" or "K33"; raises
+    ValueError otherwise, so a bogus witness can never pass silently.
     """
-    deg: dict[int, int] = {}
     adj: dict[int, list[int]] = {}
     for u, v in witness:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    branch = sorted(v for v, d in deg.items() if d >= 3)
-    if any(d < 2 for d in deg.values()) or not branch:
-        raise ValueError("witness is not a Kuratowski subdivision")
-    pair_count: dict[tuple[int, int], int] = {}
-    for b in branch:
-        for start in adj[b]:
-            prev, cur = b, start
-            while deg[cur] == 2:
-                nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-                prev, cur = cur, nxt
-            if cur == b:
+    ends: dict[int, set[int]] = {}
+    walked = 0
+    for b, row in adj.items():
+        if len(row) < 3:
+            continue
+        ends[b] = set()
+        for cur in row:
+            prev = b
+            walked += 1
+            while len(adj[cur]) == 2:
+                prev, cur = cur, adj[cur][adj[cur][0] == prev]
+                walked += 1
+            if cur in ends[b]:
                 raise ValueError("witness is not a Kuratowski subdivision")
-            key = (min(b, cur), max(b, cur))
-            pair_count[key] = pair_count.get(key, 0) + 1
-    # each branch-to-branch path is traversed once from each end
-    if any(c != 2 for c in pair_count.values()):
-        raise ValueError("witness is not a Kuratowski subdivision")
-    index = {v: i for i, v in enumerate(branch)}
-    core = build_graph(len(branch), [(index[a], index[b]) for a, b in pair_count])
-    if 2 * core.m != sum(deg[v] for v in branch):
-        # some branch vertex has extra paths not accounted for
-        raise ValueError("witness is not a Kuratowski subdivision")
-    k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    k33 = build_graph(6, [(i, j + 3) for i in range(3) for j in range(3)])
-    form = canonical_form(core)
-    if form == canonical_form(k5):
-        return "K5"
-    if form == canonical_form(k33):
-        return "K33"
+            ends[b].add(cur)
+    # walks never share a directed edge, so this count means every edge
+    # was walked once each way and no edge lies off the branch paths
+    if walked == 2 * len(witness):
+        degrees = sorted(map(len, ends.values()))
+        if degrees == [4] * 5:
+            return "K5"
+        if degrees == [3] * 6:
+            side = next(iter(ends.values()))
+            if all((a in side) != (c in side) for a in ends for c in ends[a]):
+                return "K33"
     raise ValueError("witness is not a Kuratowski subdivision")
 
 

@@ -23,9 +23,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .graphs import DegreeSequence, Graph, from_masks
+from .graphs import Graph, from_masks
 from .planarity import _decide, is_planar
 
 
@@ -92,23 +92,25 @@ def _group_selections(groups: list[list[int]], need: int) -> Iterator[list[int]]
 
 
 def realize_degree_sequence_planar(
-    seq: DegreeSequence, budget: float | None = 30.0
+    seq: Sequence[int], budget: float | None = 30.0
 ) -> RealizeResult:
     """Find a planar graph with the given degree sequence, or prove none exists.
 
-    `budget` is a wall-clock allowance in seconds (None for unlimited);
-    NaN or a negative budget raises ValueError. Returns a RealizeResult
-    whose status is "found" (graph attached), "exhausted" (no planar
-    realization exists), or "timed-out".
+    `budget` is a wall-clock allowance in seconds (None for unlimited).
+    NaN or a negative budget, a negative degree and an odd degree sum
+    raise ValueError. Returns a RealizeResult whose status is "found"
+    (graph attached), "exhausted" (no planar realization exists), or
+    "timed-out".
     """
     if budget is not None and not budget >= 0:
         raise ValueError(f"budget must be nonnegative seconds, got {budget}")
-    if not isinstance(seq, DegreeSequence):
-        seq = DegreeSequence(seq)
-    target = list(seq.entries)
-    n = len(target)
+    rem = sorted(seq, reverse=True)
+    if rem and rem[-1] < 0:
+        raise ValueError("degrees must be non-negative")
+    if sum(rem) % 2 != 0:
+        raise ValueError("degree sum must be even")
+    n = len(rem)
     deadline = None if budget is None else time.monotonic() + budget
-    rem = list(target)
     masks = [0] * n
     if n == 0:
         return RealizeResult("found", Graph(0, ()))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .bounds import max_edges_planar
-from .graphs import Graph, _component_masks, bits, degree_stats
+from .graphs import Graph, _component_masks, bits, max_degree
 from .matching import matching_number
 from .planarity import is_planar
 
@@ -175,7 +175,7 @@ def certificate(g: Graph, d: int, nu: int) -> CertificateReport:
     ]
     planar = all(is_planar(c).verdict for c, _ in parts)
     nu_g = sum(count * matching_number(c) for c, count in parts)
-    maxdeg, _ = degree_stats(g)
+    maxdeg = max_degree(g)
     bound = max_edges_planar(d, nu)
     tight = planar and maxdeg < d and nu_g < nu and g.m == bound
     return CertificateReport(

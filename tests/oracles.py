@@ -27,7 +27,11 @@ whole graph instead of once per distinct component. The reference
 extremal families are the package's earlier builders, which build every
 component type, used or not, and learn the order only from the finished
 union; the reference verdict is the package's earlier one, which solves
-a fresh knapsack for every mu it checks for domination.
+a fresh knapsack for every mu it checks for domination. The reference
+Kuratowski classifier is the package's earlier one, which rebuilds the
+core of a witness and compares its canonical form with those of K5 and
+K3,3; reference_certificate keeps reading the maximum degree through a
+local copy of the package's earlier degree_stats.
 """
 
 from __future__ import annotations
@@ -37,10 +41,10 @@ from itertools import combinations, permutations
 
 from planarext import Graph
 from planarext.bounds import max_edges_general, max_edges_planar
-from planarext.canon import canonical_form_masks
+from planarext.canon import canonical_form, canonical_form_masks
 from planarext.constructions import AtlasName, atlas, complete, k_prime, star
 from planarext.enumeration import _accepts_new_vertex
-from planarext.graphs import bits, build_graph, component_counts, degree_stats, disjoint_union
+from planarext.graphs import bits, build_graph, component_counts, disjoint_union
 from planarext.matching import matching_number
 from planarext.oracle import (
     ComponentRecord,
@@ -776,6 +780,11 @@ def reference_group_selections(groups: list[list[int]], need: int) -> list[list[
     return out
 
 
+def degree_stats(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """(maximum degree, degrees non-increasing), as the package once returned them."""
+    return max(g.degrees, default=0), tuple(sorted(g.degrees, reverse=True))
+
+
 def reference_certificate(g: Graph, d: int, nu: int) -> CertificateReport:
     """Evaluate a graph against the planar class (d, nu) and its edge bound.
 
@@ -899,3 +908,53 @@ def reference_verify_theorem(
         if _component_cap(d, mu) > reference_combine(exhaustive_records, mu + 1):
             return Verdict("realizable-only", oracle_value, formula_value)
     return Verdict("confirmed", oracle_value, formula_value)
+
+
+# The Kuratowski classifier as the package had it before it read the type
+# from the witness's own paths: it suppresses degree-2 vertices, rebuilds
+# the core and compares its canonical form with those of K5 and K3,3.
+
+
+def reference_classify_kuratowski(witness: tuple[tuple[int, int], ...]) -> str:
+    """Suppress degree-2 vertices of a witness; expect exactly K5 or K3,3.
+
+    Returns "K5" or "K33"; raises ValueError when the edge set is not a
+    subdivision of either, so a bogus witness can never pass silently.
+    """
+    deg: dict[int, int] = {}
+    adj: dict[int, list[int]] = {}
+    for u, v in witness:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    branch = sorted(v for v, d in deg.items() if d >= 3)
+    if any(d < 2 for d in deg.values()) or not branch:
+        raise ValueError("witness is not a Kuratowski subdivision")
+    pair_count: dict[tuple[int, int], int] = {}
+    for b in branch:
+        for start in adj[b]:
+            prev, cur = b, start
+            while deg[cur] == 2:
+                nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+                prev, cur = cur, nxt
+            if cur == b:
+                raise ValueError("witness is not a Kuratowski subdivision")
+            key = (min(b, cur), max(b, cur))
+            pair_count[key] = pair_count.get(key, 0) + 1
+    # each branch-to-branch path is traversed once from each end
+    if any(c != 2 for c in pair_count.values()):
+        raise ValueError("witness is not a Kuratowski subdivision")
+    index = {v: i for i, v in enumerate(branch)}
+    core = build_graph(len(branch), [(index[a], index[b]) for a, b in pair_count])
+    if 2 * core.m != sum(deg[v] for v in branch):
+        # some branch vertex has extra paths not accounted for
+        raise ValueError("witness is not a Kuratowski subdivision")
+    k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    k33 = build_graph(6, [(i, j + 3) for i in range(3) for j in range(3)])
+    form = canonical_form(core)
+    if form == canonical_form(k5):
+        return "K5"
+    if form == canonical_form(k33):
+        return "K33"
+    raise ValueError("witness is not a Kuratowski subdivision")

@@ -22,13 +22,13 @@ from planarext import (
     chromatic_index_exact,
     classify_kuratowski,
     complement,
-    degree_stats,
     enumerate_connected,
     graph6_decode,
     graph6_encode,
     is_factor_critical,
     is_planar,
     matching_number,
+    max_degree,
     max_edges_planar,
     maximum_matching,
     partition_bound_check,
@@ -77,7 +77,7 @@ def test_criterion_2_atlas_statistics():
     for name, (n, m, maxdeg, nu) in expected.items():
         g = atlas(name)
         assert (g.n, g.m) == (n, m), name
-        assert degree_stats(g)[0] == maxdeg, name
+        assert max_degree(g) == maxdeg, name
         assert matching_number(g) == nu, name
         assert is_planar(g).verdict, name
         assert is_factor_critical(g), name
@@ -170,12 +170,12 @@ def test_criterion_7_coloring_properties():
     instances = atlas_graphs + planar_sample[:100]
     for g in instances:
         coloring = vizing_color(g)  # EdgeColoring validates properness itself
-        assert coloring.palette_size <= degree_stats(g)[0] + 1
+        assert coloring.palette_size <= max_degree(g) + 1
         _REGISTRY.append(g)
     for g in instances:
         check = partition_bound_check(g)
         if check.exceeds and g.m <= 20:
-            assert chromatic_index_exact(g) == degree_stats(g)[0] + 1
+            assert chromatic_index_exact(g) == max_degree(g) + 1
     _report("7 coloring-properties", started, 60.0)
 
 

@@ -162,11 +162,15 @@ def test_usage_errors_exit_one(capsys):
         ["table", "--d", "6", "--n-max", "11"],
         ["verify", "--d", "6", "--nu", "4", "--n-max", "11", "--workers", "2"],
         ["realize", "4^6", "--timeout", "nan"],
+        ["construct", "6", "0"],
+        ["construct", "0", "5"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert out == ""
         assert err.startswith("planarext: error: ") and err.count("\n") == 1
+    code, out, err = run(capsys, "realize", "3", "3", "3")
+    assert (code, out, err) == (1, "", "planarext: error: degree sum must be even\n")
 
 
 def test_realize_refuses_more_degrees_than_graph6_prints(monkeypatch, capsys):

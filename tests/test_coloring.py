@@ -12,8 +12,8 @@ from planarext import (
     build_graph,
     chromatic_index_exact,
     complete,
-    degree_stats,
     enumerate_connected,
+    max_degree,
     partition_bound_check,
     pivotal_planar,
     star,
@@ -34,7 +34,7 @@ def test_vizing_on_atlas():
     for name in ("K5_MINUS", "A4", "A5", "A6", "A7"):
         g = atlas(name)
         coloring = vizing_color(g)
-        assert coloring.palette_size <= degree_stats(g)[0] + 1
+        assert coloring.palette_size <= max_degree(g) + 1
         assert _color_classes_are_matchings(coloring)
 
 
@@ -43,7 +43,7 @@ def test_vizing_on_planar_sample():
     assert len(sample) >= 100
     for g in sample[:150]:
         coloring = vizing_color(g)
-        assert coloring.palette_size <= degree_stats(g)[0] + 1
+        assert coloring.palette_size <= max_degree(g) + 1
         assert _color_classes_are_matchings(coloring)
 
 
@@ -55,7 +55,7 @@ def test_vizing_on_random_multicomponent():
         rng.shuffle(pairs)
         g = build_graph(n, pairs[: rng.randint(0, len(pairs))])
         coloring = vizing_color(g)
-        assert coloring.palette_size <= degree_stats(g)[0] + 1
+        assert coloring.palette_size <= max_degree(g) + 1
 
 
 def test_edge_coloring_validation():
@@ -89,7 +89,7 @@ def test_partition_bound_certifies_class_two():
     for g in instances:
         result = partition_bound_check(g)
         if result.exceeds and g.m <= 20:
-            assert chromatic_index_exact(g) == degree_stats(g)[0] + 1
+            assert chromatic_index_exact(g) == max_degree(g) + 1
 
 
 def test_exact_chromatic_index_known_values():

@@ -5,16 +5,17 @@ import pytest
 from planarext import (
     AtlasName,
     atlas,
+    build_graph,
     certificate,
     complete,
     connected_components,
     constructions,
-    degree_stats,
     extremal_general,
     is_factor_critical,
     is_planar,
     k_prime,
     matching_number,
+    max_degree,
     max_edges_general,
     pivotal_planar,
     star,
@@ -40,10 +41,16 @@ def test_atlas_statistics():
         g = atlas(name)
         assert g.n == n
         assert g.m == m
-        assert degree_stats(g)[0] == maxdeg
+        assert max_degree(g) == maxdeg
         assert matching_number(g) == nu
         assert is_planar(g).verdict
         assert is_factor_critical(g)
+
+
+def test_k5_minus_is_k5_without_one_edge():
+    # the atlas table's first row: labels 1..5 with the edge 4-5 absent
+    edges = [(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (3, 4)]
+    assert atlas("K5_MINUS") == build_graph(5, edges)
 
 
 def test_atlas_accepts_enum_and_string():
@@ -55,7 +62,7 @@ def test_atlas_accepts_enum_and_string():
 def test_star_and_complete():
     s = star(5)
     assert s.n == 6 and s.m == 5
-    assert degree_stats(s)[0] == 5
+    assert max_degree(s) == 5
     k = complete(6)
     assert k.n == 6 and k.m == 15
     assert star(0).n == 1
@@ -69,7 +76,7 @@ def test_k_prime_shape():
         g = k_prime(d)
         assert g.n == d + 1
         assert g.m == d * (d + 1) // 2 - d // 2 - 1
-        assert degree_stats(g)[0] == d - 1
+        assert max_degree(g) == d - 1
         assert matching_number(g) == d // 2
         if d >= 4:
             assert is_factor_critical(g)
@@ -108,7 +115,7 @@ def test_pivotal_edge_cases():
     assert pivotal_planar(1, 5).n == 0
     g = pivotal_planar(2, 4)  # three disjoint edges
     assert g.n == 6 and g.m == 3
-    assert degree_stats(g)[0] == 1
+    assert max_degree(g) == 1
     g = pivotal_planar(3, 5)  # four triangles
     assert g.n == 12 and g.m == 12
 
@@ -117,7 +124,7 @@ def test_extremal_general_grid():
     for d in range(2, 11):
         for nu in range(2, 14):
             g = extremal_general(d, nu)
-            maxdeg, _ = degree_stats(g)
+            maxdeg = max_degree(g)
             assert maxdeg < d
             assert matching_number(g) < nu
             assert g.m == max_edges_general(d, nu)
@@ -168,6 +175,6 @@ def test_builders_refuse_unions_graph6_cannot_print(monkeypatch):
 def test_component_types_without_copies_are_not_built(monkeypatch):
     _forbid(monkeypatch, "complete")
     g = extremal_general(2001, 2)  # no K_2001, one 2000-star
-    assert (g.n, g.m, degree_stats(g)[0]) == (2001, 2000, 2000)
+    assert (g.n, g.m, max_degree(g)) == (2001, 2000, 2000)
     _forbid(monkeypatch, "star")
     assert pivotal_planar(6, 8).m == 37  # one A7 and no star

@@ -9,10 +9,10 @@ from planarext import (
     atlas,
     canonical_form,
     complete,
-    degree_stats,
     enumerate_connected,
     is_connected,
     is_planar,
+    max_degree,
 )
 from planarext import enumeration
 from planarext.canon import canonical_form_masks
@@ -34,7 +34,7 @@ def _brute_classes(n_max: int, deg_max: int, planar_only: bool) -> set[bytes]:
             if not mask_connected(n, masks):
                 continue
             g = from_masks(n, masks)
-            if degree_stats(g)[0] > deg_max:
+            if max_degree(g) > deg_max:
                 continue
             if planar_only and not brute_is_planar(g):
                 continue
@@ -158,7 +158,7 @@ def test_contains_k5_minus_but_not_k5():
 def test_every_yield_satisfies_filters():
     for g in enumerate_connected(6, 4, planar_only=True):
         assert is_connected(g)
-        assert degree_stats(g)[0] <= 4
+        assert max_degree(g) <= 4
         assert is_planar(g).verdict
 
 

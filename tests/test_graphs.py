@@ -5,15 +5,14 @@ import random
 import pytest
 
 from planarext import (
-    DegreeSequence,
     Graph,
     build_graph,
     complement,
     connected_components,
-    degree_stats,
     disjoint_union,
     induced_subgraph,
     is_connected,
+    max_degree,
 )
 from planarext.graphs import component_counts, from_masks
 
@@ -98,11 +97,10 @@ def test_complement():
     assert complement(c).adj == g.adj
 
 
-def test_degree_stats_sorted_descending():
-    g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    maxdeg, seq = degree_stats(g)
-    assert maxdeg == 3
-    assert seq.entries == (3, 1, 1, 1)
+def test_max_degree():
+    assert max_degree(build_graph(4, [(0, 1), (0, 2), (0, 3)])) == 3
+    assert max_degree(build_graph(3, [])) == 0
+    assert max_degree(build_graph(0, [])) == 0
 
 
 def test_induced_subgraph_relabels():
@@ -133,13 +131,3 @@ def test_component_counts_match_components():
         edgeless = sum(1 for c, _ in comps if c.m == 0)
         assert component_counts(g) == (len(comps), edgeless)
         assert is_connected(g) == (len(comps) <= 1)
-
-
-def test_degree_sequence_validation():
-    seq = DegreeSequence([1, 3, 2, 2])
-    assert seq.entries == (3, 2, 2, 1)
-    assert seq.n == 4
-    with pytest.raises(ValueError):
-        DegreeSequence([1, 1, 1])
-    with pytest.raises(ValueError):
-        DegreeSequence([-1, 1])

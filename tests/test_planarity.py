@@ -33,6 +33,7 @@ from planarext.planarity import _decide
 from oracles import (
     all_labeled_graphs,
     brute_is_planar,
+    reference_classify_kuratowski,
     reference_decide,
     reference_embedding,
     reference_face_count,
@@ -178,8 +179,61 @@ def test_kuratowski_witnesses_classified():
 
 
 def test_classify_rejects_non_witness():
-    with pytest.raises(ValueError):
-        classify_kuratowski(((0, 1), (1, 2)))
+    k5 = complete(5).edges()
+    k33 = tuple((i, j) for i in range(3) for j in range(3, 6))
+    prism = ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5))
+    for witness in (
+        ((0, 1), (1, 2)),
+        # a true core with a disjoint cycle that no branch path reaches
+        k5 + ((5, 6), (6, 7), (5, 7)),
+        k33 + ((6, 7), (7, 8), (8, 9), (6, 9)),
+        # a second path between two branch vertices
+        k5 + ((0, 5), (5, 1)),
+        k33 + ((0, 6), (6, 3)),
+        # K5 less one edge, whose ends get a loop or a leaf each instead
+        k5[1:] + ((0, 5), (5, 6), (6, 0), (1, 7), (7, 8), (8, 1)),
+        k5[1:] + ((0, 5), (1, 6)),
+        # six branch vertices of degree 3 that are not K3,3
+        prism,
+        # regular cores of the right degree and the wrong order: the
+        # octahedron and the cube
+        tuple((i, j) for i in range(6) for j in range(i + 1, 6) if j - i != 3),
+        tuple((i, i ^ 1 << k) for i in range(8) for k in range(3) if not i >> k & 1),
+    ):
+        with pytest.raises(ValueError):
+            classify_kuratowski(witness)
+
+
+def _seeded_witnesses(count):
+    """Witnesses of seeded random non-planar graphs, relabeled and reordered."""
+    rng = random.Random(1930)
+    witnesses = []
+    while len(witnesses) < count:
+        n = rng.randint(5, 11)
+        p = rng.choice((0.35, 0.5, 0.7))
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        result = is_planar(g)
+        if result.verdict:
+            continue
+        label = rng.sample(range(100), n)
+        edges = [(label[u], label[v])[:: rng.choice((1, -1))] for u, v in result.witness]
+        rng.shuffle(edges)
+        witnesses.append(tuple(edges))
+    return witnesses
+
+
+def test_classify_matches_reference_on_seeded_witnesses():
+    kinds = set()
+    for witness in _seeded_witnesses(2000):
+        kind = classify_kuratowski(witness)
+        assert kind == reference_classify_kuratowski(witness), witness
+        kinds.add(kind)
+        # a disjoint triangle makes it more than a subdivision, and the
+        # witness is edge-minimal, so without an edge it is planar
+        for mutant in (witness + ((100, 101), (101, 102), (100, 102)), witness[1:]):
+            with pytest.raises(ValueError):
+                classify_kuratowski(mutant)
+    assert kinds == {"K5", "K33"}
 
 
 def test_embeddings_satisfy_euler():
@@ -294,10 +348,10 @@ raises("component_table", lambda: oracle.component_table(4, 5))
 realize.is_planar = lambda g: planarity.PlanarityResult(False, None, None)
 raises("realize", lambda: realize.realize_degree_sequence_planar([4] * 6))
 triangle = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-real_degree_stats = coloring.degree_stats
-coloring.degree_stats = lambda g: (0, real_degree_stats(g)[1])
+real_max_degree = coloring.max_degree
+coloring.max_degree = lambda g: 0
 raises("vizing_color", lambda: coloring.vizing_color(triangle))
-coloring.degree_stats = real_degree_stats
+coloring.max_degree = real_max_degree
 coloring.vizing_color = lambda g: SimpleNamespace(palette_size=99)
 raises("chromatic_index_exact", lambda: coloring.chromatic_index_exact(triangle))
 # face_count is still poisoned: each distinct component gets the Euler check

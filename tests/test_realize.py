@@ -5,12 +5,7 @@ import time
 
 import pytest
 
-from planarext import (
-    DegreeSequence,
-    degree_stats,
-    is_planar,
-    realize_degree_sequence_planar,
-)
+from planarext import is_planar, realize_degree_sequence_planar
 from planarext.realize import _group_selections, _residual_feasible
 
 from oracles import reference_group_selections, reference_residual_feasible
@@ -19,7 +14,7 @@ from oracles import reference_group_selections, reference_residual_feasible
 def _check_found(result, target):
     assert result.status == "found"
     assert result.graph is not None
-    assert list(degree_stats(result.graph)[1].entries) == sorted(target, reverse=True)
+    assert sorted(result.graph.degrees, reverse=True) == sorted(target, reverse=True)
     assert is_planar(result.graph).verdict
 
 
@@ -64,9 +59,13 @@ def test_stars_and_paths():
     assert result.status == "found" and result.graph.n == 0
 
 
-def test_accepts_degree_sequence_object():
-    result = realize_degree_sequence_planar(DegreeSequence([2, 2, 2]))
-    assert result.status == "found"
+def test_input_checks_keep_their_messages():
+    # any order is accepted; a negative degree and an odd sum are refused
+    _check_found(realize_degree_sequence_planar((1, 3, 2, 2)), [3, 2, 2, 1])
+    with pytest.raises(ValueError, match="^degrees must be non-negative$"):
+        realize_degree_sequence_planar([-1, 1])
+    with pytest.raises(ValueError, match="^degree sum must be even$"):
+        realize_degree_sequence_planar([1, 1, 1])
 
 
 def test_non_graphical_inputs():

@@ -105,6 +105,10 @@ def _parse_degree_tokens(tokens: Sequence[str]) -> list[int]:
 
 
 def _run(args: argparse.Namespace) -> int:
+    # with d < 1 or nu < 1 the class is empty: nothing to bound, build or certify
+    if args.command in ("bound", "construct", "check") and (args.d < 1 or args.nu < 1):
+        raise ValueError(f"d and nu must be at least 1, got d={args.d}, nu={args.nu}")
+
     if args.command == "bound":
         fn = {
             "planar": max_edges_planar,
@@ -115,9 +119,6 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "construct":
-        # with d < 1 or nu < 1 the class is empty, so there is nothing to print
-        if args.d < 1 or args.nu < 1:
-            raise ValueError(f"d and nu must be at least 1, got d={args.d}, nu={args.nu}")
         build = pivotal_planar if args.cls == "planar" else extremal_general
         g = build(args.d, args.nu)
         if args.format == "g6":

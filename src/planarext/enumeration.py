@@ -14,11 +14,27 @@ _levels computes one per graph for its sort, and the oracle only where an
 edge-count tie needs it. Planarity prunes hereditarily: the edge-count
 bound rejects during extension and the exact test runs on the distinct
 accepted children.
+
+The acceptance test of a child reads a record of its parent P, built once
+per parent: P's degrees, the components of P - v for each cut vertex v of
+P, the generators of Aut(P) and the marked-form verdicts reached so far,
+keyed by neighbour subset. A child joins the new vertex z to a subset S,
+so its degrees are P's plus one on S. Deleting v from the child leaves
+P - v with z joined to S - {v}, so v is a cut vertex of the child iff
+S = {v} (z hangs from v alone) or S misses a component of P - v; when v
+does not cut P, the second case is the first. No degree is recounted and
+no graph is flooded per child. A permutation p in Aut(P), extended by
+z -> z, is an isomorphism from the child on S to the child on p(S) that
+fixes z. The designated-vertex rule asks only isomorphism-invariant
+questions about z, so the two children get the same verdict: a verdict
+that took marked canonical searches is stored for the whole orbit of S,
+and every later subset of that orbit reads it back. The record lives as
+long as one call of _children, so no verdict crosses parents.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from itertools import combinations
 
@@ -40,25 +56,60 @@ def _check_budget(n_max: int) -> None:
         )
 
 
-def _is_cut_vertex(n: int, masks: tuple[int, ...], v: int) -> bool:
-    """True iff deleting v disconnects the (connected) graph.
+class _Parent(NamedTuple):
+    """What the acceptance tests of one parent's children share."""
 
-    Floods G - v from one neighbour of v. A shortest path in G from any
-    other vertex to v enters v from a neighbour, so G - v is connected
-    iff the flood reaches every neighbour of v.
+    degs: list[int]
+    # components of P - v when that is disconnected, else ()
+    cuts: list[tuple[int, ...]]
+    gens: list[list[int]]
+    # marked-form verdicts by neighbour subset, filled one orbit at a time
+    verdicts: dict[int, bool]
+
+
+def _parent_record(n: int, masks: tuple[int, ...], gens: list[list[int]]) -> _Parent:
+    """The record of P, whose automorphism group gens generates."""
+    full = (1 << n) - 1
+    cuts: list[tuple[int, ...]] = []
+    for v in range(n):
+        rest = full ^ (1 << v)
+        comps = []
+        while rest:
+            seen = frontier = rest & -rest
+            while frontier:
+                grown = 0
+                for u in bits(frontier):
+                    grown |= masks[u]
+                frontier = grown & rest & ~seen
+                seen |= frontier
+            comps.append(seen)
+            rest ^= seen
+        cuts.append(tuple(comps) if len(comps) > 1 else ())
+    return _Parent([masks[v].bit_count() for v in range(n)], cuts, gens, {})
+
+
+def _cuts_child(row: int, v: int, comps: tuple[int, ...]) -> bool:
+    """True iff v cuts the child whose new vertex has neighbour set row.
+
+    comps are the components of P - v when there are two or more. P - v
+    must not be empty: when P is v alone, v is a leaf of the child.
     """
-    nbrs = masks[v]
-    keep = ((1 << n) - 1) ^ (1 << v)
-    seen = frontier = nbrs & -nbrs
-    while frontier:
-        if seen & nbrs == nbrs:
-            return False
-        grown = 0
-        for u in bits(frontier):
-            grown |= masks[u]
-        frontier = grown & keep & ~seen
-        seen |= frontier
-    return True
+    return row == 1 << v or any(not row & c for c in comps)
+
+
+def _orbit(row: int, gens: list[list[int]]) -> list[int]:
+    """The vertex subsets that the group generated by gens maps row to."""
+    orbit = [row]
+    members = {row}
+    for s in orbit:
+        for perm in gens:
+            image = 0
+            for v in bits(s):
+                image |= 1 << perm[v]
+            if image not in members:
+                members.add(image)
+                orbit.append(image)
+    return orbit
 
 
 def _marked(n: int, v: int) -> list[int]:
@@ -67,7 +118,9 @@ def _marked(n: int, v: int) -> list[int]:
     return colors
 
 
-def _accepts_new_vertex(n: int, masks: tuple[int, ...]) -> bool:
+def _accepts_new_vertex(
+    n: int, masks: tuple[int, ...], parent: _Parent | None = None
+) -> bool:
     """True iff the last vertex is a designated deletion point of the graph.
 
     The designated deletion is any non-cut vertex maximising first the
@@ -75,35 +128,58 @@ def _accepts_new_vertex(n: int, masks: tuple[int, ...]) -> bool:
     vertex-marked canonical form; all of them lie in one orbit, so
     deleting any of them gives the same parent up to isomorphism.
 
-    The last vertex z is never a cut vertex (its deletion leaves the
+    parent is the record of the graph less its last vertex z, built here
+    when not given. z is never a cut vertex (its deletion leaves the
     connected parent), and the rule is decided lazily: a vertex of lower
     degree cannot beat z, neighbour degrees are sorted only on a degree
     tie, the cut test runs only on a vertex that would beat or tie z, and
     a tied vertex whose transposition with an already compared one is an
-    automorphism has that vertex's marked form.
+    automorphism has that vertex's marked form. With the record that
+    _children passes, the marked forms run once per Aut(parent) orbit of
+    z's neighbour set.
     """
     z = n - 1
-    degs = [masks[v].bit_count() for v in range(n)]
-    dz = degs[z]
+    row = masks[z]
+    if parent is None:
+        parent = _parent_record(z, tuple(m & ~(1 << z) for m in masks[:z]), [])
+    pdegs, cuts = parent.degs, parent.cuts
+    dz = row.bit_count()
     ties: list[int] = []
-    nz: list[int] | None = None
+    # the child's degrees, built at the first degree tie
+    degs: list[int] | None = None
+    nz: list[int] = []
     for v in range(z):
-        dv = degs[v]
+        dv = pdegs[v] + (row >> v & 1)
         if dv < dz:
             continue
         if dv > dz:
-            if not _is_cut_vertex(n, masks, v):
+            if not _cuts_child(row, v, cuts[v]):
                 return False
             continue
-        if nz is None:
-            nz = sorted([degs[w] for w in bits(masks[z])])
+        if degs is None:
+            degs = [d + (row >> w & 1) for w, d in enumerate(pdegs)]
+            degs.append(dz)
+            nz = sorted([degs[w] for w in bits(row)])
         nv = sorted([degs[w] for w in bits(masks[v])])
         # a leaf is never a cut vertex
-        if nv < nz or (dv > 1 and _is_cut_vertex(n, masks, v)):
+        if nv < nz or (dv > 1 and _cuts_child(row, v, cuts[v])):
             continue
         if nv > nz:
             return False
         ties.append(v)
+    if not ties:
+        return True
+    verdict = parent.verdicts.get(row)
+    if verdict is None:
+        verdict = _marked_verdict(n, masks, ties)
+        for s in _orbit(row, parent.gens):
+            parent.verdicts[s] = verdict
+    return verdict
+
+
+def _marked_verdict(n: int, masks: tuple[int, ...], ties: list[int]) -> bool:
+    """True iff no tied vertex has a larger marked form than the last one."""
+    z = n - 1
     compared = [z]
     form_z = None
     for v in ties:
@@ -126,34 +202,27 @@ def _children(
     in one Aut(parent) orbit, so the first accepted subset of each orbit
     stands for it and one search of the parent replaces a form per child.
     """
-    m = sum(masks[v].bit_count() for v in range(n)) // 2
-    eligible = [v for v in range(n) if masks[v].bit_count() < deg_max]
+    parent = _parent_record(n, masks, _canonical_search(n, masks)[1])
+    m = sum(parent.degs) // 2
+    eligible = [v for v in range(n) if parent.degs[v] < deg_max]
     child_n = n + 1
     zbit = 1 << n
-    gens = _canonical_search(n, masks)[1]
     seen: set[int] = set()
     out: list[tuple[int, ...]] = []
     for size in range(1, min(deg_max, len(eligible)) + 1):
         if planar_only and child_n >= 3 and m + size > 3 * child_n - 6:
             break
         for subset in combinations(eligible, size):
-            row = sum(1 << v for v in subset)
-            child = tuple(
-                masks[v] | zbit if row >> v & 1 else masks[v] for v in range(n)
-            ) + (row,)
-            if not _accepts_new_vertex(child_n, child) or row in seen:
+            rows = list(masks)
+            row = 0
+            for v in subset:
+                rows[v] |= zbit
+                row |= 1 << v
+            rows.append(row)
+            child = tuple(rows)
+            if not _accepts_new_vertex(child_n, child, parent) or row in seen:
                 continue
-            # mark the whole orbit of row under the generators seen
-            seen.add(row)
-            orbit = [row]
-            for s in orbit:
-                for perm in gens:
-                    image = 0
-                    for v in bits(s):
-                        image |= 1 << perm[v]
-                    if image not in seen:
-                        seen.add(image)
-                        orbit.append(image)
+            seen.update(_orbit(row, parent.gens))
             if planar_only and not _decide(child_n, child):
                 continue
             out.append(child)

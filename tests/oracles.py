@@ -14,9 +14,13 @@ Graph.has_edge and an edge list, with the same validation and messages.
 The reference left-right planarity test is the package's earlier kernel,
 keyed by (v, w) edge tuples and interval objects; the array-indexed
 kernel must reproduce its verdicts, rotation systems and witnesses.
-The reference child generator is the package's earlier one, which drops
-isomorphic children by a full canonical form each instead of by orbits
-of the parent's automorphism group; automorphisms are counted by a
+The lazy designated-vertex rule is the package's earlier acceptance
+test, which recounts every degree, floods G - v for each cut test and
+runs the marked forms on every call instead of reading a record of the
+parent. The reference child generator is the package's earlier one,
+which accepts by that lazy rule and drops isomorphic children by a full
+canonical form each instead of by orbits of the parent's automorphism
+group; automorphisms are counted by a
 plain backtracking search over degree-preserving vertex maps. The
 reference face count is the package's earlier tracer, which walks a dict
 over all darts with a seen set, and the reference Erdős–Gallai residual
@@ -41,9 +45,9 @@ from itertools import combinations, permutations
 
 from planarext import Graph
 from planarext.bounds import max_edges_general, max_edges_planar
-from planarext.canon import canonical_form, canonical_form_masks
+from planarext.canon import _swap_equivalent, canonical_form, canonical_form_masks
 from planarext.constructions import AtlasName, atlas, complete, k_prime, star
-from planarext.enumeration import _accepts_new_vertex
+from planarext.enumeration import _marked
 from planarext.graphs import bits, build_graph, component_counts, disjoint_union
 from planarext.matching import matching_number
 from planarext.oracle import (
@@ -270,6 +274,77 @@ def reference_accepts_new_vertex(n: int, masks: tuple[int, ...]) -> bool:
         for v in candidates
     }
     return marked[z] == max(marked.values())
+
+
+def _is_cut_vertex(n: int, masks: tuple[int, ...], v: int) -> bool:
+    """True iff deleting v disconnects the (connected) graph.
+
+    Floods G - v from one neighbour of v. A shortest path in G from any
+    other vertex to v enters v from a neighbour, so G - v is connected
+    iff the flood reaches every neighbour of v.
+    """
+    nbrs = masks[v]
+    keep = ((1 << n) - 1) ^ (1 << v)
+    seen = frontier = nbrs & -nbrs
+    while frontier:
+        if seen & nbrs == nbrs:
+            return False
+        grown = 0
+        for u in bits(frontier):
+            grown |= masks[u]
+        frontier = grown & keep & ~seen
+        seen |= frontier
+    return True
+
+
+def lazy_accepts_new_vertex(n: int, masks: tuple[int, ...]) -> bool:
+    """True iff the last vertex is a designated deletion point of the graph.
+
+    The designated deletion is any non-cut vertex maximising first the
+    invariant (degree, sorted neighbour degrees) and then the
+    vertex-marked canonical form; all of them lie in one orbit, so
+    deleting any of them gives the same parent up to isomorphism.
+
+    The last vertex z is never a cut vertex (its deletion leaves the
+    connected parent), and the rule is decided lazily: a vertex of lower
+    degree cannot beat z, neighbour degrees are sorted only on a degree
+    tie, the cut test runs only on a vertex that would beat or tie z, and
+    a tied vertex whose transposition with an already compared one is an
+    automorphism has that vertex's marked form.
+    """
+    z = n - 1
+    degs = [masks[v].bit_count() for v in range(n)]
+    dz = degs[z]
+    ties: list[int] = []
+    nz: list[int] | None = None
+    for v in range(z):
+        dv = degs[v]
+        if dv < dz:
+            continue
+        if dv > dz:
+            if not _is_cut_vertex(n, masks, v):
+                return False
+            continue
+        if nz is None:
+            nz = sorted([degs[w] for w in bits(masks[z])])
+        nv = sorted([degs[w] for w in bits(masks[v])])
+        # a leaf is never a cut vertex
+        if nv < nz or (dv > 1 and _is_cut_vertex(n, masks, v)):
+            continue
+        if nv > nz:
+            return False
+        ties.append(v)
+    compared = [z]
+    form_z = None
+    for v in ties:
+        if any(_swap_equivalent(masks, v, u) for u in compared):
+            continue
+        if form_z is None:
+            form_z = canonical_form_masks(n, masks, _marked(n, z))
+        if canonical_form_masks(n, masks, _marked(n, v)) > form_z:
+            return False
+        compared.append(v)
+    return True
 
 
 def reference_graph6_encode(g: Graph) -> str:
@@ -683,7 +758,7 @@ def reference_children(
             child = tuple(
                 masks[v] | zbit if v in subset else masks[v] for v in range(n)
             ) + (sum(1 << v for v in subset),)
-            if not _accepts_new_vertex(child_n, child):
+            if not lazy_accepts_new_vertex(child_n, child):
                 continue
             form = canonical_form_masks(child_n, child)
             if form in seen:

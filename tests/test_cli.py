@@ -164,6 +164,12 @@ def test_usage_errors_exit_one(capsys):
         ["realize", "4^6", "--timeout", "nan"],
         ["construct", "6", "0"],
         ["construct", "0", "5"],
+        ["bound", "6", "0"],
+        ["bound", "6", "-3"],
+        ["bound", "0", "5"],
+        ["bound", "0", "5", "--class", "outerplanar"],
+        ["check", "?", "--d", "6", "--nu", "0"],
+        ["check", "?", "--d", "0", "--nu", "5"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv

@@ -21,6 +21,7 @@ from planarext.graphs import from_masks
 from oracles import (
     all_labeled_graphs,
     brute_is_planar,
+    lazy_accepts_new_vertex,
     mask_connected,
     reference_accepts_new_vertex,
     reference_children,
@@ -73,9 +74,11 @@ def test_max_degree_five_planar_census(monkeypatch):
     funnel = Counter()
     accepts = enumeration._accepts_new_vertex
     decide = enumeration._decide
+    form = enumeration.canonical_form_masks
+    marked_calls = 0
 
-    def counted_accepts(n, masks):
-        result = accepts(n, masks)
+    def counted_accepts(n, masks, parent=None):
+        result = accepts(n, masks, parent)
         if n == 8:
             funnel["candidates"] += 1
             funnel["accepted"] += result
@@ -88,8 +91,14 @@ def test_max_degree_five_planar_census(monkeypatch):
             funnel["planar"] += result
         return result
 
+    def counted_form(n, masks, colors=None):
+        nonlocal marked_calls
+        marked_calls += colors is not None
+        return form(n, masks, colors)
+
     monkeypatch.setattr(enumeration, "_accepts_new_vertex", counted_accepts)
     monkeypatch.setattr(enumeration, "_decide", counted_decide)
+    monkeypatch.setattr(enumeration, "canonical_form_masks", counted_form)
     by_n = Counter(g.n for g in enumerate_connected(8, 5, planar_only=True))
     assert dict(by_n) == {1: 1, 2: 1, 3: 2, 4: 6, 5: 20, 6: 99, 7: 566, 8: 4323}
     assert funnel == {
@@ -98,20 +107,30 @@ def test_max_degree_five_planar_census(monkeypatch):
         "decided": 6125,
         "planar": 4323,
     }
+    # marked forms run once per Aut(parent) orbit of neighbour subsets
+    # (the lazy rule of tests/oracles.py runs 7,306 over the same levels)
+    assert marked_calls == 4920
 
 
 @pytest.mark.parametrize(
     "n_max,deg_max,planar_only", [(7, 5, True), (8, 3, True), (7, 6, False)]
 )
 def test_acceptance_matches_reference_rule(monkeypatch, n_max, deg_max, planar_only):
+    # each live call, which reads its parent's record, against the rule
+    # without a record, the lazy rule it replaced and the plain reference
     accepts = enumeration._accepts_new_vertex
     calls = Counter()
     mismatches = []
 
-    def checked_accepts(n, masks):
-        result = accepts(n, masks)
+    def checked_accepts(n, masks, parent=None):
+        result = accepts(n, masks, parent)
         calls[n] += 1
-        if result != reference_accepts_new_vertex(n, masks):
+        if not (
+            result
+            == accepts(n, masks)
+            == lazy_accepts_new_vertex(n, masks)
+            == reference_accepts_new_vertex(n, masks)
+        ):
             mismatches.append(masks)
         return result
 

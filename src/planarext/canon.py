@@ -21,7 +21,7 @@ from typing import Sequence
 from .graphs import Graph, bits
 
 
-def _refine(n: int, neighbors: list[list[int]], colors: list[int]) -> list[int]:
+def _refine(n: int, neighbors: list[tuple[int, ...]], colors: list[int]) -> list[int]:
     """Equitable refinement; returns a normalized stable coloring.
 
     Each round ranks the vertices by (color, sorted neighbor colors). A

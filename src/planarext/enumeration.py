@@ -23,13 +23,19 @@ so its degrees are P's plus one on S. Deleting v from the child leaves
 P - v with z joined to S - {v}, so v is a cut vertex of the child iff
 S = {v} (z hangs from v alone) or S misses a component of P - v; when v
 does not cut P, the second case is the first. No degree is recounted and
-no graph is flooded per child. A permutation p in Aut(P), extended by
-z -> z, is an isomorphism from the child on S to the child on p(S) that
-fixes z. The designated-vertex rule asks only isomorphism-invariant
-questions about z, so the two children get the same verdict: a verdict
-that took marked canonical searches is stored for the whole orbit of S,
-and every later subset of that orbit reads it back. The record lives as
-long as one call of _children, so no verdict crosses parents.
+no graph is flooded per child. Most candidates are rejected by one AND:
+the record keeps at[k], the mask of P's vertices of degree >= k that do
+not cut P, and z (with |S| = dz) loses to any vertex v in at[dz + 1] or
+in at[dz] & S, whose child degree exceeds dz, unless S = {v}. That is
+exact: P - v is connected and z reaches it through S - {v}, so v cuts
+neither P nor the child, and a non-cut vertex of larger degree beats z.
+A permutation p in Aut(P), extended by z -> z, is an isomorphism from
+the child on S to the child on p(S) that fixes z. The designated-vertex
+rule asks only isomorphism-invariant questions about z, so the two
+children get the same verdict: a verdict that took marked canonical
+searches is stored for the whole orbit of S, and every later subset of
+that orbit reads it back. The record lives as long as one call of
+_children, so no verdict crosses parents.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import Iterator, NamedTuple
 from itertools import combinations
 
 from .canon import _canonical_search, _swap_equivalent, canonical_form_masks
-from .graphs import Graph, bits, from_masks
+from .graphs import Graph, _component_masks, bits, from_masks
 from .planarity import _decide
 
 _BUDGET_N_MAX = 10
@@ -62,6 +68,8 @@ class _Parent(NamedTuple):
     degs: list[int]
     # components of P - v when that is disconnected, else ()
     cuts: list[tuple[int, ...]]
+    # at[k]: the vertices of degree >= k in P that do not cut P
+    at: list[int]
     gens: list[list[int]]
     # marked-form verdicts by neighbour subset, filled one orbit at a time
     verdicts: dict[int, bool]
@@ -70,22 +78,20 @@ class _Parent(NamedTuple):
 def _parent_record(n: int, masks: tuple[int, ...], gens: list[list[int]]) -> _Parent:
     """The record of P, whose automorphism group gens generates."""
     full = (1 << n) - 1
+    degs = [m.bit_count() for m in masks]
     cuts: list[tuple[int, ...]] = []
+    # indexed up to n + 1, one past the largest child degree of z
+    at = [0] * (n + 2)
     for v in range(n):
-        rest = full ^ (1 << v)
-        comps = []
-        while rest:
-            seen = frontier = rest & -rest
-            while frontier:
-                grown = 0
-                for u in bits(frontier):
-                    grown |= masks[u]
-                frontier = grown & rest & ~seen
-                seen |= frontier
-            comps.append(seen)
-            rest ^= seen
-        cuts.append(tuple(comps) if len(comps) > 1 else ())
-    return _Parent([masks[v].bit_count() for v in range(n)], cuts, gens, {})
+        comps = tuple(_component_masks(masks, full ^ (1 << v)))
+        if len(comps) > 1:
+            cuts.append(comps)
+        else:
+            cuts.append(())
+            at[degs[v]] |= 1 << v
+    for k in range(n, -1, -1):
+        at[k] |= at[k + 1]
+    return _Parent(degs, cuts, at, gens, {})
 
 
 def _cuts_child(row: int, v: int, comps: tuple[int, ...]) -> bool:
@@ -132,7 +138,9 @@ def _accepts_new_vertex(
     when not given. z is never a cut vertex (its deletion leaves the
     connected parent), and the rule is decided lazily: a vertex of lower
     degree cannot beat z, neighbour degrees are sorted only on a degree
-    tie, the cut test runs only on a vertex that would beat or tie z, and
+    tie, a vertex that cuts neither P nor the child and has the larger
+    degree is found by one AND with the record's at masks, the cut test
+    runs only on a vertex that would beat or tie z, and
     a tied vertex whose transposition with an already compared one is an
     automorphism has that vertex's marked form. With the record that
     _children passes, the marked forms run once per Aut(parent) orbit of
@@ -142,8 +150,12 @@ def _accepts_new_vertex(
     row = masks[z]
     if parent is None:
         parent = _parent_record(z, tuple(m & ~(1 << z) for m in masks[:z]), [])
-    pdegs, cuts = parent.degs, parent.cuts
+    pdegs, cuts, at = parent.degs, parent.cuts, parent.at
     dz = row.bit_count()
+    # a vertex of child degree > dz that does not cut P cuts the child only
+    # when z hangs from it alone, so it beats z
+    if (at[dz + 1] | at[dz] & row) & ~(row if dz == 1 else 0):
+        return False
     ties: list[int] = []
     # the child's degrees, built at the first degree tie
     degs: list[int] | None = None

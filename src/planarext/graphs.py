@@ -92,19 +92,40 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(tuple(sorted(r)) for r in rows))
 
 
-def bits(mask: int) -> list[int]:
-    """Positions of the set bits of mask, ascending."""
+def _bits_table(width: int) -> tuple[tuple[int, ...], ...]:
+    """The set bits of every mask below 2**width, built by doubling.
+
+    The masks with bit i set follow those without, each with i appended.
+    """
+    table: tuple[tuple[int, ...], ...] = ((),)
+    for i in range(width):
+        table += tuple(t + (i,) for t in table)
+    return table
+
+
+_BITS_TABLE = _bits_table(10)
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of mask, ascending.
+
+    A mask below 2**10 is read from a table: every graph the enumeration
+    builds has at most ten vertices (its budget), so every mask on that
+    route is one lookup. Larger masks take the bit loop.
+    """
+    if mask < 1024:
+        return _BITS_TABLE[mask]
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return out
+    return tuple(out)
 
 
 def from_masks(n: int, masks: Sequence[int]) -> Graph:
     """Internal-ish fast path from adjacency bitmasks (assumed symmetric)."""
-    return Graph(n, tuple(tuple(bits(masks[v])) for v in range(n)))
+    return Graph(n, tuple(bits(masks[v]) for v in range(n)))
 
 
 def disjoint_union(*graphs: Graph) -> Graph:
@@ -141,17 +162,21 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     return Graph(len(vertices), tuple(adj))
 
 
-def _component_masks(masks: Sequence[int]) -> Iterator[int]:
-    """Vertex set of each component as a bitmask, by smallest vertex, one flood each."""
-    unseen = (1 << len(masks)) - 1
+def _component_masks(masks: Sequence[int], vertices: int | None = None) -> Iterator[int]:
+    """Vertex set of each component as a bitmask, by smallest vertex, one flood each.
+
+    vertices, a bitmask, restricts the floods to the subgraph it induces;
+    by default they cover the whole graph.
+    """
+    unseen = keep = (1 << len(masks)) - 1 if vertices is None else vertices
     while unseen:
         reach = frontier = unseen & -unseen
         while frontier:
             grown = 0
             for v in bits(frontier):
                 grown |= masks[v]
-            frontier = grown & ~reach
-            reach |= grown
+            frontier = grown & keep & ~reach
+            reach |= frontier
         unseen &= ~reach
         yield reach
 

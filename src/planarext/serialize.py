@@ -170,7 +170,7 @@ def certificate(g: Graph, d: int, nu: int) -> CertificateReport:
         groups[key] = groups.get(key, 0) + 1
     # built from the rows directly: from_masks is left to enumerated graphs
     parts = [
-        (Graph(len(key), tuple(tuple(bits(m)) for m in key)), count)
+        (Graph(len(key), tuple(bits(m) for m in key)), count)
         for key, count in groups.items()
     ]
     planar = all(is_planar(c).verdict for c, _ in parts)

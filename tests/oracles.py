@@ -9,6 +9,8 @@ reference designated-vertex rule of canonical augmentation, which keeps
 the package's marked canonical forms (tested on their own) but decides
 everything else the plain way: a full articulation pass, the degree
 invariant of every vertex and the maximum over all tied marked forms.
+The set bits of a mask are listed by the package's earlier loop, one
+lowest bit at a time, in place of its lookup table.
 The reference graph6 codec packs and unpacks one bit at a time through
 Graph.has_edge and an edge list, with the same validation and messages.
 The reference left-right planarity test is the package's earlier kernel,
@@ -48,7 +50,7 @@ from planarext.bounds import max_edges_general, max_edges_planar
 from planarext.canon import _swap_equivalent, canonical_form, canonical_form_masks
 from planarext.constructions import AtlasName, atlas, complete, k_prime, star
 from planarext.enumeration import _marked
-from planarext.graphs import bits, build_graph, component_counts, disjoint_union
+from planarext.graphs import build_graph, component_counts, disjoint_union
 from planarext.matching import matching_number
 from planarext.oracle import (
     ComponentRecord,
@@ -59,6 +61,16 @@ from planarext.oracle import (
 )
 from planarext.planarity import _decide, is_planar
 from planarext.serialize import CertificateReport, graph6_encode
+
+
+def reference_bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def brute_matching_number(g: Graph) -> int:
@@ -209,7 +221,7 @@ def _non_cut_vertices(n: int, masks: tuple[int, ...]) -> list[int]:
     """Vertices that are not articulation points (graph assumed connected)."""
     if n <= 2:
         return list(range(n))
-    adj = [bits(masks[v]) for v in range(n)]
+    adj = [reference_bits(masks[v]) for v in range(n)]
     disc = [-1] * n
     low = [0] * n
     is_art = [False] * n
@@ -245,7 +257,7 @@ def _non_cut_vertices(n: int, masks: tuple[int, ...]) -> list[int]:
 
 def _degree_invariant(n: int, masks: tuple[int, ...], degs: list[int]):
     return [
-        (degs[v], tuple(sorted(degs[w] for w in bits(masks[v]))))
+        (degs[v], tuple(sorted(degs[w] for w in reference_bits(masks[v]))))
         for v in range(n)
     ]
 
@@ -290,7 +302,7 @@ def _is_cut_vertex(n: int, masks: tuple[int, ...], v: int) -> bool:
         if seen & nbrs == nbrs:
             return False
         grown = 0
-        for u in bits(frontier):
+        for u in reference_bits(frontier):
             grown |= masks[u]
         frontier = grown & keep & ~seen
         seen |= frontier
@@ -326,8 +338,8 @@ def lazy_accepts_new_vertex(n: int, masks: tuple[int, ...]) -> bool:
                 return False
             continue
         if nz is None:
-            nz = sorted([degs[w] for w in bits(masks[z])])
-        nv = sorted([degs[w] for w in bits(masks[v])])
+            nz = sorted([degs[w] for w in reference_bits(masks[z])])
+        nv = sorted([degs[w] for w in reference_bits(masks[v])])
         # a leaf is never a cut vertex
         if nv < nz or (dv > 1 and _is_cut_vertex(n, masks, v)):
             continue
@@ -711,7 +723,7 @@ def reference_decide(n: int, masks) -> bool:
         return True
     if sum(m.bit_count() for m in masks[:n]) // 2 > 3 * n - 6:
         return False
-    lr = _LRTest(n, [bits(masks[v]) for v in range(n)])
+    lr = _LRTest(n, [reference_bits(masks[v]) for v in range(n)])
     lr.orient()
     return lr.test()
 

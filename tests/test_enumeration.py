@@ -188,3 +188,38 @@ def test_budget_guard():
         list(enumerate_connected(0, 3, planar_only=True))
     with pytest.raises(ValueError):
         list(enumerate_connected(3, 0, planar_only=True))
+
+
+@pytest.mark.parametrize(
+    "child,at,fast,expected",
+    [
+        # the path 0-1-2, z = 3 hung on 0: vertex 0 (child degree 2) does
+        # not cut P but cuts the child, and vertex 1 cuts P
+        ((0b1010, 0b0101, 0b0010, 0b0001), [0b101, 0b101, 0, 0, 0], False, True),
+        # the triangle, z = 3 hung on 0: vertices 1 and 2 (child degree 2)
+        # cut neither graph
+        ((0b1110, 0b0101, 0b0011, 0b0001), [0b111, 0b111, 0b111, 0, 0], True, False),
+    ],
+)
+def test_one_and_rejection(monkeypatch, child, at, fast, expected):
+    n = len(child)
+    parent_masks = tuple(m & ~(1 << (n - 1)) for m in child[:-1])
+    record = enumeration._parent_record(
+        n - 1, parent_masks, enumeration._canonical_search(n - 1, parent_masks)[1]
+    )
+    assert record.at == at
+    # the loop runs a cut test on the first higher-degree vertex, so no
+    # cut test means the one AND rejected the child
+    cut_tests = []
+    cuts_child = enumeration._cuts_child
+
+    def counted_cuts_child(row, v, comps):
+        cut_tests.append(v)
+        return cuts_child(row, v, comps)
+
+    monkeypatch.setattr(enumeration, "_cuts_child", counted_cuts_child)
+    for parent in (record, None):
+        cut_tests.clear()
+        assert enumeration._accepts_new_vertex(n, child, parent) is expected
+        assert reference_accepts_new_vertex(n, child) is expected
+        assert (cut_tests == []) is fast

@@ -14,9 +14,9 @@ from planarext import (
     is_connected,
     max_degree,
 )
-from planarext.graphs import component_counts, from_masks
+from planarext.graphs import bits, component_counts, from_masks
 
-from oracles import all_labeled_graphs
+from oracles import all_labeled_graphs, reference_bits
 
 
 def test_graph_basic_invariants():
@@ -131,3 +131,15 @@ def test_component_counts_match_components():
         edgeless = sum(1 for c, _ in comps if c.m == 0)
         assert component_counts(g) == (len(comps), edgeless)
         assert is_connected(g) == (len(comps) <= 1)
+
+
+def test_bits_matches_reference_loop():
+    # the table covers every mask below 2**10; the loop covers the rest
+    rng = random.Random(11)
+    masks = list(range(1 << 10))
+    masks += [0, 1 << 10, (1 << 11) - 1, 1 << 258046, (1 << 1024) - 1]
+    masks.append(rng.getrandbits(5000))
+    for mask in masks:
+        got = bits(mask)
+        assert type(got) is tuple
+        assert got == tuple(reference_bits(mask)), mask

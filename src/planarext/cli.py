@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -208,6 +209,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FalsificationError as exc:
         print(f"planarext: FALSIFIED: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left: the exit-time flush of stdout goes nowhere too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError, BudgetExceededError) as exc:
         print(f"planarext: error: {exc}", file=sys.stderr)
         return 1

@@ -22,8 +22,9 @@ keyed by neighbour subset. A child joins the new vertex z to a subset S,
 so its degrees are P's plus one on S. Deleting v from the child leaves
 P - v with z joined to S - {v}, so v is a cut vertex of the child iff
 S = {v} (z hangs from v alone) or S misses a component of P - v; when v
-does not cut P, the second case is the first. No degree is recounted and
-no graph is flooded per child. Most candidates are rejected by one AND:
+does not cut P, the second case is the first. The test reads the record
+and S alone, and a child's rows are built only for a kept subset and
+for a marked-form verdict. Most candidates are rejected by one AND:
 the record keeps at[k], the mask of P's vertices of degree >= k that do
 not cut P, and z (with |S| = dz) loses to any vertex v in at[dz + 1] or
 in at[dz] & S, whose child degree exceeds dz, unless S = {v}. That is
@@ -65,6 +66,7 @@ def _check_budget(n_max: int) -> None:
 class _Parent(NamedTuple):
     """What the acceptance tests of one parent's children share."""
 
+    masks: tuple[int, ...]
     degs: list[int]
     # components of P - v when that is disconnected, else ()
     cuts: list[tuple[int, ...]]
@@ -91,7 +93,14 @@ def _parent_record(n: int, masks: tuple[int, ...], gens: list[list[int]]) -> _Pa
             at[degs[v]] |= 1 << v
     for k in range(n, -1, -1):
         at[k] |= at[k + 1]
-    return _Parent(degs, cuts, at, gens, {})
+    return _Parent(masks, degs, cuts, at, gens, {})
+
+
+def _child(masks: tuple[int, ...], row: int) -> tuple[int, ...]:
+    """The rows of P (given by masks) plus a new vertex joined to row."""
+    zbit = 1 << len(masks)
+    # a list, not a generator: tuple() of one raised verify's peak RSS 0.3 MB
+    return (*[m | zbit if row >> v & 1 else m for v, m in enumerate(masks)], row)
 
 
 def _cuts_child(row: int, v: int, comps: tuple[int, ...]) -> bool:
@@ -124,9 +133,7 @@ def _marked(n: int, v: int) -> list[int]:
     return colors
 
 
-def _accepts_new_vertex(
-    n: int, masks: tuple[int, ...], parent: _Parent | None = None
-) -> bool:
+def _accepts_new_vertex(n: int, row: int, parent: _Parent) -> bool:
     """True iff the last vertex is a designated deletion point of the graph.
 
     The designated deletion is any non-cut vertex maximising first the
@@ -134,23 +141,21 @@ def _accepts_new_vertex(
     vertex-marked canonical form; all of them lie in one orbit, so
     deleting any of them gives the same parent up to isomorphism.
 
-    parent is the record of the graph less its last vertex z, built here
-    when not given. z is never a cut vertex (its deletion leaves the
-    connected parent), and the rule is decided lazily: a vertex of lower
-    degree cannot beat z, neighbour degrees are sorted only on a degree
-    tie, a vertex that cuts neither P nor the child and has the larger
-    degree is found by one AND with the record's at masks, the cut test
-    runs only on a vertex that would beat or tie z, and
-    a tied vertex whose transposition with an already compared one is an
-    automorphism has that vertex's marked form. With the record that
-    _children passes, the marked forms run once per Aut(parent) orbit of
-    z's neighbour set.
+    The graph has n vertices: its last vertex z is joined to the vertex
+    set row of the parent P (the graph less z), whose record is parent.
+    Its rows are read as P's plus z on row, and built only when the
+    marked forms need them. z is never a cut vertex (its deletion leaves
+    the connected parent), and the rule is decided lazily: a vertex of
+    lower degree cannot beat z, neighbour degrees are sorted only on a
+    degree tie, a vertex that cuts neither P nor the child and has the
+    larger degree is found by one AND with the record's at masks, the
+    cut test runs only on a vertex that would beat or tie z, and a tied
+    vertex whose transposition with an already compared one is an
+    automorphism has that vertex's marked form. The marked forms run
+    once per Aut(parent) orbit of row.
     """
     z = n - 1
-    row = masks[z]
-    if parent is None:
-        parent = _parent_record(z, tuple(m & ~(1 << z) for m in masks[:z]), [])
-    pdegs, cuts, at = parent.degs, parent.cuts, parent.at
+    pmasks, pdegs, cuts, at = parent.masks, parent.degs, parent.cuts, parent.at
     dz = row.bit_count()
     # a vertex of child degree > dz that does not cut P cuts the child only
     # when z hangs from it alone, so it beats z
@@ -172,7 +177,7 @@ def _accepts_new_vertex(
             degs = [d + (row >> w & 1) for w, d in enumerate(pdegs)]
             degs.append(dz)
             nz = sorted([degs[w] for w in bits(row)])
-        nv = sorted([degs[w] for w in bits(masks[v])])
+        nv = sorted([degs[w] for w in bits(pmasks[v] | (row >> v & 1) << z)])
         # a leaf is never a cut vertex
         if nv < nz or (dv > 1 and _cuts_child(row, v, cuts[v])):
             continue
@@ -183,7 +188,7 @@ def _accepts_new_vertex(
         return True
     verdict = parent.verdicts.get(row)
     if verdict is None:
-        verdict = _marked_verdict(n, masks, ties)
+        verdict = _marked_verdict(n, _child(pmasks, row), ties)
         for s in _orbit(row, parent.gens):
             parent.verdicts[s] = verdict
     return verdict
@@ -216,25 +221,19 @@ def _children(
     """
     parent = _parent_record(n, masks, _canonical_search(n, masks)[1])
     m = sum(parent.degs) // 2
-    eligible = [v for v in range(n) if parent.degs[v] < deg_max]
+    eligible = [1 << v for v in range(n) if parent.degs[v] < deg_max]
     child_n = n + 1
-    zbit = 1 << n
     seen: set[int] = set()
     out: list[tuple[int, ...]] = []
     for size in range(1, min(deg_max, len(eligible)) + 1):
         if planar_only and child_n >= 3 and m + size > 3 * child_n - 6:
             break
         for subset in combinations(eligible, size):
-            rows = list(masks)
-            row = 0
-            for v in subset:
-                rows[v] |= zbit
-                row |= 1 << v
-            rows.append(row)
-            child = tuple(rows)
-            if not _accepts_new_vertex(child_n, child, parent) or row in seen:
+            row = sum(subset)
+            if not _accepts_new_vertex(child_n, row, parent) or row in seen:
                 continue
             seen.update(_orbit(row, parent.gens))
+            child = _child(masks, row)
             if planar_only and not _decide(child_n, child):
                 continue
             out.append(child)

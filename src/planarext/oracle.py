@@ -82,37 +82,34 @@ class FalsificationError(RuntimeError):
 _Best = dict[int, tuple[int, bytes | None, Graph]]  # mu -> (edges, canon, witness)
 
 
-def _offer(best: _Best, g: Graph, form: bytes | None = None) -> int | None:
+def _offer(best: _Best, g: Graph) -> int | None:
     """File g under its matching number mu and return mu (None when mu < 1).
 
     The smaller canonical form wins an edge-count tie. Forms are computed
-    only there, for whichever side does not have one yet.
+    only there, and best keeps the stored witness's form for the next tie.
     """
     mu = matching_number(g)
     if mu < 1:
         return None
     cur = best.get(mu)
     if cur is None or g.m > cur[0]:
-        best[mu] = (g.m, form, g)
+        best[mu] = (g.m, None, g)
     elif g.m == cur[0]:
         edges, cur_form, witness = cur
         if cur_form is None:
             cur_form = canonical_form(witness)
             best[mu] = (edges, cur_form, witness)
-        if form is None:
-            form = canonical_form(g)
+        form = canonical_form(g)
         if form < cur_form:
             best[mu] = (g.m, form, g)
     return mu
 
 
-def _subtree_worker(
-    args: tuple[tuple[int, ...], bytes, int, int]
-) -> dict[str, list]:
+def _subtree_worker(args: tuple[tuple[int, ...], int, int]) -> dict[str, list]:
     """Best per-mu results over one generation subtree (root included)."""
-    root, root_form, n_max, deg_max = args
+    root, n_max, deg_max = args
     best: _Best = {}
-    _offer(best, from_masks(len(root), root), root_form)
+    _offer(best, from_masks(len(root), root))
     stack = [root]
     while stack:
         masks = stack.pop()
@@ -265,20 +262,18 @@ def component_table(
         if n_max > shard_order and order == shard_order:
             roots = level
         else:
-            for masks, form in level:
-                _offer(best, from_masks(len(masks), masks), form)
+            for masks, _form in level:
+                _offer(best, from_masks(len(masks), masks))
     if roots:
+        names = [form.hex() for _masks, form in roots]
         done = {}
         if checkpoint:
-            done = _load_checkpoint(checkpoint, d, n_max, {f.hex() for _m, f in roots})
+            done = _load_checkpoint(checkpoint, d, n_max, set(names))
         # a bad record in the journal fails the run before any root is computed
         for payload in done.values():
             _merge_sidecar(best, payload, d)
-        jobs = [
-            (masks, form, n_max, deg_max)
-            for masks, form in roots
-            if form.hex() not in done
-        ]
+        todo = [i for i, name in enumerate(names) if name not in done]
+        jobs = [(roots[i][0], n_max, deg_max) for i in todo]
         pool = nullcontext()
         if workers > 1 and len(jobs) > 1:
             # imported here so that importing the package stays cheap
@@ -288,9 +283,9 @@ def component_table(
             pool = ProcessPoolExecutor(max_workers=min(workers, len(jobs)))
         with pool as executor:
             run = executor.map if executor else map
-            for (_root, form, *_), result in zip(jobs, run(_subtree_worker, jobs)):
+            for i, result in zip(todo, run(_subtree_worker, jobs)):
                 if checkpoint:
-                    _save_checkpoint(checkpoint, d, n_max, form.hex(), result)
+                    _save_checkpoint(checkpoint, d, n_max, names[i], result)
                 _merge_sidecar(best, result, d)
     if d > n_max:
         _offer(best, star(d - 1))

@@ -8,13 +8,15 @@ largest star-built families here need. Decoding validates length, byte
 range and zero padding, so a truncated or hand-mangled string never
 produces a silently wrong graph.
 
-The encoder works on adjacency bitmasks. Column k of the triangle is the
-low k bits of masks[k], written vertex 0 first, so the whole triangle is
-one bit string and one integer. Each 6-bit group then maps one-to-one
-onto the base64 alphabet: binascii packs or unpacks the integer's bytes
-and bytes.translate swaps that alphabet for the bytes 63..126. The
-decoder jumps from one set bit of the triangle to the next, so it costs
-one step per edge, and hands the rows to the validating Graph
+The encoder writes the output bytes straight from the adjacency rows:
+it starts from the header and one "?" (63, an empty group) per 6-bit
+group, and each edge j < k adds 32 >> pos % 6 to byte pos // 6, where
+pos = k(k-1)/2 + j is the edge's place in the triangle. That is one step
+per edge and one byte per group, and nothing larger than the output is
+held. The decoder maps the bytes 63..126 one-to-one onto the base64
+alphabet with bytes.translate, so binascii unpacks the body into one
+integer. It then jumps from one set bit of the triangle to the next, so
+it costs one step per edge, and hands the rows to the validating Graph
 constructor.
 """
 
@@ -33,7 +35,6 @@ from .planarity import is_planar
 _G6_MAX_ORDER = 258047  # the largest order a four-byte header holds; no longer one is read
 _G6_BYTES = bytes(range(63, 127))
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-_TO_G6 = bytes.maketrans(_BASE64, _G6_BYTES)
 _FROM_G6 = bytes.maketrans(_G6_BYTES, _BASE64)
 
 
@@ -43,23 +44,19 @@ def graph6_encode(g: Graph) -> str:
     if n > _G6_MAX_ORDER:
         raise ValueError(f"graph6 supports at most {_G6_MAX_ORDER} vertices")
     if n <= 62:
-        header = chr(n + 63)
+        out = bytearray([n + 63])
     else:
-        header = chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    nbits = n * (n - 1) // 2
-    if not nbits:
-        return header
-    masks = g.masks
-    # columns written last to first, each high bit first, then reversed
-    # once: column k becomes bits 0..k-1 of masks[k], vertex 0 first
-    triangle = "".join(
-        [format(masks[k] & ((1 << k) - 1), "b").zfill(k) for k in range(n - 1, 0, -1)]
-    )[::-1]
-    nchars = (nbits + 5) // 6
-    nbytes = (nchars + 3) // 4 * 3  # whole base64 quanta, zero-padded
-    packed = (int(triangle, 2) << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
-    body = binascii.b2a_base64(packed, newline=False)[:nchars].translate(_TO_G6)
-    return header + body.decode("ascii")
+        out = bytearray([126] + [((n >> s) & 63) + 63 for s in (12, 6, 0)])
+    start = len(out)
+    out += b"?" * ((n * (n - 1) // 2 + 5) // 6)
+    for k, row in enumerate(g.adj):
+        base = k * (k - 1) // 2
+        for j in row:  # ascending, so the edges j < k come first
+            if j >= k:
+                break
+            pos = base + j
+            out[start + pos // 6] += 32 >> pos % 6
+    return out.decode("ascii")
 
 
 def graph6_decode(text: str) -> Graph:

@@ -13,17 +13,22 @@ The set bits of a mask are listed by the package's earlier loop, one
 lowest bit at a time, in place of its lookup table.
 The reference graph6 codec packs and unpacks one bit at a time through
 Graph.has_edge and an edge list, with the same validation and messages.
+The base64 graph6 encoder is the package's earlier one, which builds the
+whole triangle as a bit string and an integer and maps base64 output
+onto the graph6 bytes.
 The reference left-right planarity test is the package's earlier kernel,
 keyed by (v, w) edge tuples and interval objects; the array-indexed
 kernel must reproduce its verdicts, rotation systems and witnesses.
 The lazy designated-vertex rule is the package's earlier acceptance
 test, which recounts every degree, floods G - v for each cut test and
 runs the marked forms on every call instead of reading a record of the
-parent. The reference child generator is the package's earlier one,
-which accepts by that lazy rule and drops isomorphic children by a full
-canonical form each instead of by orbits of the parent's automorphism
-group; automorphisms are counted by a
-plain backtracking search over degree-preserving vertex maps. The
+parent. The record-reading rule on child rows is the package's earlier
+acceptance test, which takes the child's whole rows and builds the
+parent's record from them when none is given. The reference child
+generator is the package's earlier one, which accepts by that lazy rule
+and drops isomorphic children by a full canonical form each instead of
+by orbits of the parent's automorphism group; automorphisms are counted
+by a plain backtracking search over degree-preserving vertex maps. The
 reference face count is the package's earlier tracer, which walks a dict
 over all darts with a seen set, and the reference Erdős–Gallai residual
 check and the group selections of realize are the package's earlier
@@ -42,6 +47,7 @@ local copy of the package's earlier degree_stats.
 
 from __future__ import annotations
 
+import binascii
 import math
 from itertools import combinations, permutations
 
@@ -49,8 +55,15 @@ from planarext import Graph
 from planarext.bounds import max_edges_general, max_edges_planar
 from planarext.canon import _swap_equivalent, canonical_form, canonical_form_masks
 from planarext.constructions import AtlasName, atlas, complete, k_prime, star
-from planarext.enumeration import _marked
-from planarext.graphs import build_graph, component_counts, disjoint_union
+from planarext.enumeration import (
+    _Parent,
+    _cuts_child,
+    _marked,
+    _marked_verdict,
+    _orbit,
+    _parent_record,
+)
+from planarext.graphs import bits, build_graph, component_counts, disjoint_union
 from planarext.matching import matching_number
 from planarext.oracle import (
     ComponentRecord,
@@ -60,7 +73,13 @@ from planarext.oracle import (
     component_table,
 )
 from planarext.planarity import _decide, is_planar
-from planarext.serialize import CertificateReport, graph6_encode
+from planarext.serialize import (
+    _BASE64,
+    _G6_BYTES,
+    _G6_MAX_ORDER,
+    CertificateReport,
+    graph6_encode,
+)
 
 
 def reference_bits(mask: int) -> list[int]:
@@ -359,6 +378,71 @@ def lazy_accepts_new_vertex(n: int, masks: tuple[int, ...]) -> bool:
     return True
 
 
+def masks_accepts_new_vertex(
+    n: int, masks: tuple[int, ...], parent: _Parent | None = None
+) -> bool:
+    """True iff the last vertex is a designated deletion point of the graph.
+
+    The designated deletion is any non-cut vertex maximising first the
+    invariant (degree, sorted neighbour degrees) and then the
+    vertex-marked canonical form; all of them lie in one orbit, so
+    deleting any of them gives the same parent up to isomorphism.
+
+    parent is the record of the graph less its last vertex z, built here
+    when not given. z is never a cut vertex (its deletion leaves the
+    connected parent), and the rule is decided lazily: a vertex of lower
+    degree cannot beat z, neighbour degrees are sorted only on a degree
+    tie, a vertex that cuts neither P nor the child and has the larger
+    degree is found by one AND with the record's at masks, the cut test
+    runs only on a vertex that would beat or tie z, and
+    a tied vertex whose transposition with an already compared one is an
+    automorphism has that vertex's marked form. With the record that
+    _children passes, the marked forms run once per Aut(parent) orbit of
+    z's neighbour set.
+    """
+    z = n - 1
+    row = masks[z]
+    if parent is None:
+        parent = _parent_record(z, tuple(m & ~(1 << z) for m in masks[:z]), [])
+    pdegs, cuts, at = parent.degs, parent.cuts, parent.at
+    dz = row.bit_count()
+    # a vertex of child degree > dz that does not cut P cuts the child only
+    # when z hangs from it alone, so it beats z
+    if (at[dz + 1] | at[dz] & row) & ~(row if dz == 1 else 0):
+        return False
+    ties: list[int] = []
+    # the child's degrees, built at the first degree tie
+    degs: list[int] | None = None
+    nz: list[int] = []
+    for v in range(z):
+        dv = pdegs[v] + (row >> v & 1)
+        if dv < dz:
+            continue
+        if dv > dz:
+            if not _cuts_child(row, v, cuts[v]):
+                return False
+            continue
+        if degs is None:
+            degs = [d + (row >> w & 1) for w, d in enumerate(pdegs)]
+            degs.append(dz)
+            nz = sorted([degs[w] for w in bits(row)])
+        nv = sorted([degs[w] for w in bits(masks[v])])
+        # a leaf is never a cut vertex
+        if nv < nz or (dv > 1 and _cuts_child(row, v, cuts[v])):
+            continue
+        if nv > nz:
+            return False
+        ties.append(v)
+    if not ties:
+        return True
+    verdict = parent.verdicts.get(row)
+    if verdict is None:
+        verdict = _marked_verdict(n, masks, ties)
+        for s in _orbit(row, parent.gens):
+            parent.verdicts[s] = verdict
+    return verdict
+
+
 def reference_graph6_encode(g: Graph) -> str:
     """graph6 string for g (short form for n <= 62, long form above)."""
     if g.n > 258047:
@@ -384,6 +468,34 @@ def reference_graph6_encode(g: Graph) -> str:
             value = (value << 1) | b
         out.append(chr(value + 63))
     return "".join(out)
+
+
+_TO_G6 = bytes.maketrans(_BASE64, _G6_BYTES)
+
+
+def base64_graph6_encode(g: Graph) -> str:
+    """graph6 string for g (short form for n <= 62, long form above)."""
+    n = g.n
+    if n > _G6_MAX_ORDER:
+        raise ValueError(f"graph6 supports at most {_G6_MAX_ORDER} vertices")
+    if n <= 62:
+        header = chr(n + 63)
+    else:
+        header = chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    nbits = n * (n - 1) // 2
+    if not nbits:
+        return header
+    masks = g.masks
+    # columns written last to first, each high bit first, then reversed
+    # once: column k becomes bits 0..k-1 of masks[k], vertex 0 first
+    triangle = "".join(
+        [format(masks[k] & ((1 << k) - 1), "b").zfill(k) for k in range(n - 1, 0, -1)]
+    )[::-1]
+    nchars = (nbits + 5) // 6
+    nbytes = (nchars + 3) // 4 * 3  # whole base64 quanta, zero-padded
+    packed = (int(triangle, 2) << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
+    body = binascii.b2a_base64(packed, newline=False)[:nchars].translate(_TO_G6)
+    return header + body.decode("ascii")
 
 
 def reference_graph6_decode(text: str) -> Graph:

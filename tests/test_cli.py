@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planarext
 from planarext import (
     atlas,
     cli,
@@ -342,3 +347,20 @@ def test_entry_point_help(capsys):
     out = capsys.readouterr().out
     for sub in ("bound", "construct", "check", "table", "verify", "color", "realize"):
         assert sub in out
+
+
+def test_closed_pipe_exits_one_without_a_message():
+    # about 3 MB of graph6: the reader takes a few bytes and leaves
+    src = str(Path(planarext.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "planarext.cli", "construct", "2", "3001"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(5) == b"~@\\o`"
+    proc.stdout.close()
+    try:
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, stderr) == (1, b"")

@@ -23,6 +23,7 @@ from oracles import (
     brute_is_planar,
     lazy_accepts_new_vertex,
     mask_connected,
+    masks_accepts_new_vertex,
     reference_accepts_new_vertex,
     reference_children,
 )
@@ -116,18 +117,20 @@ def test_max_degree_five_planar_census(monkeypatch):
     "n_max,deg_max,planar_only", [(7, 5, True), (8, 3, True), (7, 6, False)]
 )
 def test_acceptance_matches_reference_rule(monkeypatch, n_max, deg_max, planar_only):
-    # each live call, which reads its parent's record, against the rule
-    # without a record, the lazy rule it replaced and the plain reference
+    # each live call, which reads its parent's record and the new row,
+    # against the rule on the child's rows, the lazy rule and the plain
+    # reference
     accepts = enumeration._accepts_new_vertex
     calls = Counter()
     mismatches = []
 
-    def checked_accepts(n, masks, parent=None):
-        result = accepts(n, masks, parent)
+    def checked_accepts(n, row, parent):
+        result = accepts(n, row, parent)
         calls[n] += 1
+        masks = enumeration._child(parent.masks, row)
         if not (
             result
-            == accepts(n, masks)
+            == masks_accepts_new_vertex(n, masks)
             == lazy_accepts_new_vertex(n, masks)
             == reference_accepts_new_vertex(n, masks)
         ):
@@ -218,8 +221,6 @@ def test_one_and_rejection(monkeypatch, child, at, fast, expected):
         return cuts_child(row, v, comps)
 
     monkeypatch.setattr(enumeration, "_cuts_child", counted_cuts_child)
-    for parent in (record, None):
-        cut_tests.clear()
-        assert enumeration._accepts_new_vertex(n, child, parent) is expected
-        assert reference_accepts_new_vertex(n, child) is expected
-        assert (cut_tests == []) is fast
+    assert enumeration._accepts_new_vertex(n, child[-1], record) is expected
+    assert reference_accepts_new_vertex(n, child) is expected
+    assert (cut_tests == []) is fast

@@ -309,6 +309,21 @@ def test_table_over_budget_fails_before_any_work(monkeypatch):
             call()
 
 
+@pytest.mark.parametrize("journal", [False, True])
+def test_second_verify_reads_the_cached_table(tmp_path, monkeypatch, journal):
+    # a second nu under the same (d, n_max) must not enumerate again
+    kwargs = {"checkpoint": str(tmp_path / "check.txt")} if journal else {}
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    first = verify_theorem(6, 4, 8, **kwargs)
+
+    def no_enumeration(*args):
+        raise AssertionError("enumerated again")
+
+    monkeypatch.setattr(oracle, "_levels", no_enumeration)
+    assert verify_theorem(6, 9, 8, **kwargs) == reference_verify_theorem(6, 9, 8)
+    assert verify_theorem(6, 4, 8, **kwargs) == first
+
+
 def test_table_cache_survives_caller_mutation():
     first = component_table(4, 5)
     expected = list(first)

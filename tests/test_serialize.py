@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -23,6 +24,7 @@ from planarext import (
 )
 
 from oracles import (
+    base64_graph6_encode,
     reference_certificate,
     reference_graph6_decode,
     reference_graph6_encode,
@@ -250,6 +252,7 @@ def test_codec_matches_reference():
     graphs = _codec_corpus()
     texts = [graph6_encode(g) for g in graphs]
     assert texts == [reference_graph6_encode(g) for g in graphs]
+    assert texts == [base64_graph6_encode(g) for g in graphs]
     digest = hashlib.sha256("\n".join(texts).encode("ascii")).hexdigest()
     assert digest == CODEC_CORPUS_SHA256
     for g, text in zip(graphs, texts):
@@ -265,3 +268,19 @@ def test_codec_matches_reference():
         assert got == _decode_outcome(reference_graph6_decode, text), repr(text)
         outcomes.add(re.sub(r"\d+", "#", got[1]) if got[0] == "error" else "ok")
     assert len(outcomes) == 8, outcomes  # acceptance and all seven rejections
+
+
+def test_encoder_memory_and_digest():
+    # 12,000 vertices: the output is the triangle's 11,999,004 characters,
+    # and the encoder may hold little more than the output while it writes
+    g = pivotal_planar(2, 6001)
+    tracemalloc.start()
+    try:
+        text = graph6_encode(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 11_999_004
+    assert peak <= 3 * len(text), peak / len(text)
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert digest == "b1092c8496d9b3255df4a665ee7d4cd02a1a4bbbac9c7c9fd0de0ece39d90b30"

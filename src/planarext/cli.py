@@ -216,6 +216,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError, BudgetExceededError) as exc:
         print(f"planarext: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("planarext: error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,85 +1,68 @@
 """Independent reference implementations the tests check the package against.
 
-Nothing here reuses the package's algorithms: matchings are maximized by
-bare edge-subset recursion, planarity is decided by exhaustive search
-for a forbidden subdivision (complete for n <= 7, where a subdivision
-can use at most two extra vertices), and isomorphism is settled by
-minimizing over all vertex permutations. The one exception is the
-reference designated-vertex rule of canonical augmentation, which keeps
-the package's marked canonical forms (tested on their own) but decides
-everything else the plain way: a full articulation pass, the degree
-invariant of every vertex and the maximum over all tied marked forms.
-The set bits of a mask are listed by the package's earlier loop, one
-lowest bit at a time, in place of its lookup table.
-The reference graph6 codec packs and unpacks one bit at a time through
+Matchings are maximized by bare edge-subset recursion, planarity is
+decided by exhaustive search for a forbidden subdivision (complete for
+n <= 7, where a subdivision can use at most two extra vertices), and
+isomorphism is settled by minimizing over all vertex permutations. The
+set bits of a mask are listed one lowest bit at a time, automorphisms
+are counted by a plain backtracking search over degree-preserving vertex
+maps, and the graph6 codec packs and unpacks one bit at a time through
 Graph.has_edge and an edge list, with the same validation and messages.
-The base64 graph6 encoder is the package's earlier one, which builds the
-whole triangle as a bit string and an integer and maps base64 output
-onto the graph6 bytes.
-The reference left-right planarity test is the package's earlier kernel,
-keyed by (v, w) edge tuples and interval objects; the array-indexed
-kernel must reproduce its verdicts, rotation systems and witnesses.
-The lazy designated-vertex rule is the package's earlier acceptance
-test, which recounts every degree, floods G - v for each cut test and
-runs the marked forms on every call instead of reading a record of the
-parent. The record-reading rule on child rows is the package's earlier
-acceptance test, which takes the child's whole rows and builds the
-parent's record from them when none is given. The reference child
-generator is the package's earlier one, which accepts by that lazy rule
-and drops isomorphic children by a full canonical form each instead of
-by orbits of the parent's automorphism group; automorphisms are counted
-by a plain backtracking search over degree-preserving vertex maps. The
-reference face count is the package's earlier tracer, which walks a dict
-over all darts with a seen set, and the reference Erdős–Gallai residual
-check and the group selections of realize are the package's earlier
-quadratic check and eager list. The reference certificate is the
-package's earlier one, which runs planarity and blossom once over the
-whole graph instead of once per distinct component. The reference
-extremal families are the package's earlier builders, which build every
-component type, used or not, and learn the order only from the finished
-union; the reference verdict is the package's earlier one, which solves
-a fresh knapsack for every mu it checks for domination. The reference
-Kuratowski classifier is the package's earlier one, which rebuilds the
-core of a witness and compares its canonical form with those of K5 and
-K3,3; reference_certificate keeps reading the maximum degree through a
-local copy of the package's earlier degree_stats.
+
+The reference designated-vertex rule of canonical augmentation decides
+from the definition: a full articulation pass, the degree invariant of
+every vertex and the maximum over all tied marked forms. The reference
+child generator tries every neighbour subset, accepts by that rule,
+drops isomorphic children by a full canonical form each and decides
+planarity by the reference left-right test. That test is the package's
+earlier kernel, keyed by (v, w) edge tuples and interval objects; the
+array-indexed kernel must reproduce its verdicts, rotation systems and
+witnesses, and it is the only fast planarity reference beyond n <= 7.
+
+The other references are the package's earlier code: the face count
+walks a dict over all darts with a seen set; the Erdős–Gallai residual
+check is quadratic and the group selections of realize an eager list;
+the certificate runs planarity and blossom once over the whole graph
+instead of once per distinct component; the extremal families build
+every component type, used or not, and learn the order only from the
+finished union; the verdict solves a fresh knapsack for every mu it
+checks for domination, against a component cap written out from the
+rule in the oracle's docstring; and the Kuratowski classifier rebuilds
+the core of a witness and compares its canonical form with those of K5
+and K3,3.
+
+Package functions a reference reuses, beyond the Graph type's own
+accessors, each tested on its own:
+canonical_form_masks for the marked forms of the designated-vertex rule
+and the forms of the child generator; canonical_form in the Kuratowski
+classifier; component_counts in the face count; is_planar,
+matching_number, graph6_encode and max_edges_planar in the certificate;
+max_edges_planar, max_edges_general, build_graph, disjoint_union,
+complete, k_prime, star and atlas in the extremal families; build_graph
+in the graph6 decoder and the Kuratowski classifier; and component_table
+and max_edges_planar in the verdict. Nothing here imports a private
+package name.
 """
 
 from __future__ import annotations
 
-import binascii
 import math
 from itertools import combinations, permutations
 
 from planarext import Graph
 from planarext.bounds import max_edges_general, max_edges_planar
-from planarext.canon import _swap_equivalent, canonical_form, canonical_form_masks
+from planarext.canon import canonical_form, canonical_form_masks
 from planarext.constructions import AtlasName, atlas, complete, k_prime, star
-from planarext.enumeration import (
-    _Parent,
-    _cuts_child,
-    _marked,
-    _marked_verdict,
-    _orbit,
-    _parent_record,
-)
-from planarext.graphs import bits, build_graph, component_counts, disjoint_union
+from planarext.graphs import build_graph, component_counts, disjoint_union
 from planarext.matching import matching_number
 from planarext.oracle import (
     ComponentRecord,
     FalsificationError,
     Verdict,
-    _component_cap,
     component_table,
 )
-from planarext.planarity import _decide, is_planar
-from planarext.serialize import (
-    _BASE64,
-    _G6_BYTES,
-    _G6_MAX_ORDER,
-    CertificateReport,
-    graph6_encode,
-)
+from planarext.planarity import is_planar
+from planarext.serialize import CertificateReport, graph6_encode
 
 
 def reference_bits(mask: int) -> list[int]:
@@ -307,142 +290,6 @@ def reference_accepts_new_vertex(n: int, masks: tuple[int, ...]) -> bool:
     return marked[z] == max(marked.values())
 
 
-def _is_cut_vertex(n: int, masks: tuple[int, ...], v: int) -> bool:
-    """True iff deleting v disconnects the (connected) graph.
-
-    Floods G - v from one neighbour of v. A shortest path in G from any
-    other vertex to v enters v from a neighbour, so G - v is connected
-    iff the flood reaches every neighbour of v.
-    """
-    nbrs = masks[v]
-    keep = ((1 << n) - 1) ^ (1 << v)
-    seen = frontier = nbrs & -nbrs
-    while frontier:
-        if seen & nbrs == nbrs:
-            return False
-        grown = 0
-        for u in reference_bits(frontier):
-            grown |= masks[u]
-        frontier = grown & keep & ~seen
-        seen |= frontier
-    return True
-
-
-def lazy_accepts_new_vertex(n: int, masks: tuple[int, ...]) -> bool:
-    """True iff the last vertex is a designated deletion point of the graph.
-
-    The designated deletion is any non-cut vertex maximising first the
-    invariant (degree, sorted neighbour degrees) and then the
-    vertex-marked canonical form; all of them lie in one orbit, so
-    deleting any of them gives the same parent up to isomorphism.
-
-    The last vertex z is never a cut vertex (its deletion leaves the
-    connected parent), and the rule is decided lazily: a vertex of lower
-    degree cannot beat z, neighbour degrees are sorted only on a degree
-    tie, the cut test runs only on a vertex that would beat or tie z, and
-    a tied vertex whose transposition with an already compared one is an
-    automorphism has that vertex's marked form.
-    """
-    z = n - 1
-    degs = [masks[v].bit_count() for v in range(n)]
-    dz = degs[z]
-    ties: list[int] = []
-    nz: list[int] | None = None
-    for v in range(z):
-        dv = degs[v]
-        if dv < dz:
-            continue
-        if dv > dz:
-            if not _is_cut_vertex(n, masks, v):
-                return False
-            continue
-        if nz is None:
-            nz = sorted([degs[w] for w in reference_bits(masks[z])])
-        nv = sorted([degs[w] for w in reference_bits(masks[v])])
-        # a leaf is never a cut vertex
-        if nv < nz or (dv > 1 and _is_cut_vertex(n, masks, v)):
-            continue
-        if nv > nz:
-            return False
-        ties.append(v)
-    compared = [z]
-    form_z = None
-    for v in ties:
-        if any(_swap_equivalent(masks, v, u) for u in compared):
-            continue
-        if form_z is None:
-            form_z = canonical_form_masks(n, masks, _marked(n, z))
-        if canonical_form_masks(n, masks, _marked(n, v)) > form_z:
-            return False
-        compared.append(v)
-    return True
-
-
-def masks_accepts_new_vertex(
-    n: int, masks: tuple[int, ...], parent: _Parent | None = None
-) -> bool:
-    """True iff the last vertex is a designated deletion point of the graph.
-
-    The designated deletion is any non-cut vertex maximising first the
-    invariant (degree, sorted neighbour degrees) and then the
-    vertex-marked canonical form; all of them lie in one orbit, so
-    deleting any of them gives the same parent up to isomorphism.
-
-    parent is the record of the graph less its last vertex z, built here
-    when not given. z is never a cut vertex (its deletion leaves the
-    connected parent), and the rule is decided lazily: a vertex of lower
-    degree cannot beat z, neighbour degrees are sorted only on a degree
-    tie, a vertex that cuts neither P nor the child and has the larger
-    degree is found by one AND with the record's at masks, the cut test
-    runs only on a vertex that would beat or tie z, and
-    a tied vertex whose transposition with an already compared one is an
-    automorphism has that vertex's marked form. With the record that
-    _children passes, the marked forms run once per Aut(parent) orbit of
-    z's neighbour set.
-    """
-    z = n - 1
-    row = masks[z]
-    if parent is None:
-        parent = _parent_record(z, tuple(m & ~(1 << z) for m in masks[:z]), [])
-    pdegs, cuts, at = parent.degs, parent.cuts, parent.at
-    dz = row.bit_count()
-    # a vertex of child degree > dz that does not cut P cuts the child only
-    # when z hangs from it alone, so it beats z
-    if (at[dz + 1] | at[dz] & row) & ~(row if dz == 1 else 0):
-        return False
-    ties: list[int] = []
-    # the child's degrees, built at the first degree tie
-    degs: list[int] | None = None
-    nz: list[int] = []
-    for v in range(z):
-        dv = pdegs[v] + (row >> v & 1)
-        if dv < dz:
-            continue
-        if dv > dz:
-            if not _cuts_child(row, v, cuts[v]):
-                return False
-            continue
-        if degs is None:
-            degs = [d + (row >> w & 1) for w, d in enumerate(pdegs)]
-            degs.append(dz)
-            nz = sorted([degs[w] for w in bits(row)])
-        nv = sorted([degs[w] for w in bits(masks[v])])
-        # a leaf is never a cut vertex
-        if nv < nz or (dv > 1 and _cuts_child(row, v, cuts[v])):
-            continue
-        if nv > nz:
-            return False
-        ties.append(v)
-    if not ties:
-        return True
-    verdict = parent.verdicts.get(row)
-    if verdict is None:
-        verdict = _marked_verdict(n, masks, ties)
-        for s in _orbit(row, parent.gens):
-            parent.verdicts[s] = verdict
-    return verdict
-
-
 def reference_graph6_encode(g: Graph) -> str:
     """graph6 string for g (short form for n <= 62, long form above)."""
     if g.n > 258047:
@@ -468,34 +315,6 @@ def reference_graph6_encode(g: Graph) -> str:
             value = (value << 1) | b
         out.append(chr(value + 63))
     return "".join(out)
-
-
-_TO_G6 = bytes.maketrans(_BASE64, _G6_BYTES)
-
-
-def base64_graph6_encode(g: Graph) -> str:
-    """graph6 string for g (short form for n <= 62, long form above)."""
-    n = g.n
-    if n > _G6_MAX_ORDER:
-        raise ValueError(f"graph6 supports at most {_G6_MAX_ORDER} vertices")
-    if n <= 62:
-        header = chr(n + 63)
-    else:
-        header = chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    nbits = n * (n - 1) // 2
-    if not nbits:
-        return header
-    masks = g.masks
-    # columns written last to first, each high bit first, then reversed
-    # once: column k becomes bits 0..k-1 of masks[k], vertex 0 first
-    triangle = "".join(
-        [format(masks[k] & ((1 << k) - 1), "b").zfill(k) for k in range(n - 1, 0, -1)]
-    )[::-1]
-    nchars = (nbits + 5) // 6
-    nbytes = (nchars + 3) // 4 * 3  # whole base64 quanta, zero-padded
-    packed = (int(triangle, 2) << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
-    body = binascii.b2a_base64(packed, newline=False)[:nchars].translate(_TO_G6)
-    return header + body.decode("ascii")
 
 
 def reference_graph6_decode(text: str) -> Graph:
@@ -882,13 +701,13 @@ def reference_children(
             child = tuple(
                 masks[v] | zbit if v in subset else masks[v] for v in range(n)
             ) + (sum(1 << v for v in subset),)
-            if not lazy_accepts_new_vertex(child_n, child):
+            if not reference_accepts_new_vertex(child_n, child):
                 continue
             form = canonical_form_masks(child_n, child)
             if form in seen:
                 continue
             seen.add(form)
-            if planar_only and not _decide(child_n, child):
+            if planar_only and not reference_decide(child_n, child):
                 continue
             out.append((child, form))
     out.sort(key=lambda item: item[1])
@@ -979,11 +798,6 @@ def reference_group_selections(groups: list[list[int]], need: int) -> list[list[
     return out
 
 
-def degree_stats(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """(maximum degree, degrees non-increasing), as the package once returned them."""
-    return max(g.degrees, default=0), tuple(sorted(g.degrees, reverse=True))
-
-
 def reference_certificate(g: Graph, d: int, nu: int) -> CertificateReport:
     """Evaluate a graph against the planar class (d, nu) and its edge bound.
 
@@ -991,7 +805,7 @@ def reference_certificate(g: Graph, d: int, nu: int) -> CertificateReport:
     matching number below nu) meeting the class maximum exactly.
     """
     planar = is_planar(g).verdict
-    maxdeg, _ = degree_stats(g)
+    maxdeg = max(g.degrees, default=0)
     nu_g = matching_number(g)
     bound = max_edges_planar(d, nu)
     tight = planar and maxdeg < d and nu_g < nu and g.m == bound
@@ -1102,9 +916,16 @@ def reference_verify_theorem(
         return Verdict("inconclusive", oracle_value, formula_value)
     exhaustive_records = [rec for rec in table if rec.exhaustive]
     for mu in range(1, nu):
-        if 2 * mu + 1 <= n_max:
+        n = 2 * mu + 1
+        if n <= n_max:
             continue
-        if _component_cap(d, mu) > reference_combine(exhaustive_records, mu + 1):
+        # a component that is not a (d-1)-star has 2 mu + 1 vertices, so
+        # planarity and the degree bound cap its edges; the star has
+        # matching number 1 and d - 1 edges
+        cap = min(3 * n - 6, (d - 1) * n // 2)
+        if mu == 1:
+            cap = max(cap, d - 1)
+        if cap > reference_combine(exhaustive_records, mu + 1):
             return Verdict("realizable-only", oracle_value, formula_value)
     return Verdict("confirmed", oracle_value, formula_value)
 

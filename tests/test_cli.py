@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -364,3 +365,18 @@ def test_closed_pipe_exits_one_without_a_message():
     finally:
         proc.kill()
     assert (proc.returncode, stderr) == (1, b"")
+
+
+def test_out_of_memory_exits_one_with_one_line():
+    # 258,046 vertices, about 5.5 GB of graph6, in 1 GiB of address space
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(planarext.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "planarext.cli", "construct", "2", "129024"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=300,
+        preexec_fn=cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode().splitlines() == ["planarext: error: out of memory"]

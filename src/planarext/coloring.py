@@ -60,11 +60,7 @@ def vizing_color(g: Graph) -> EdgeColoring:
     def key(a: int, b: int) -> tuple[int, int]:
         return (a, b) if a < b else (b, a)
 
-    def assign(a: int, b: int, c: int) -> None:
-        old = color.get(key(a, b))
-        if old is not None:
-            del at[a][old]
-            del at[b][old]
+    def assign(a: int, b: int, c: int) -> None:  # callers uncolor the edge first
         color[key(a, b)] = c
         at[a][c] = b
         at[b][c] = a

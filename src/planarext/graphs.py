@@ -24,11 +24,15 @@ class Graph:
     adj: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        n, adj = self.n, self.adj
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if len(self.adj) != self.n:
+        if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
-        for v, row in enumerate(self.adj):
+        # symmetry in the same pass: the rows listing w > v come in ascending
+        # v, so each v must be the next unread entry of adj[w]
+        read = [0] * n
+        for v, row in enumerate(adj):
             prev = -1
             for w in row:
                 if w <= prev:
@@ -36,14 +40,18 @@ class Graph:
                 prev = w
                 if w == v:
                     raise ValueError(f"self-loop at {v}")
-                if not 0 <= w < self.n:
+                if not 0 <= w < n:
                     raise ValueError(f"label {w} out of range in adjacency of {v}")
-        for v, row in enumerate(self.adj):
-            for w in row:
-                # symmetry: O(sum of deg^2), most of complete(1001)'s build; kept
-                # as O(m) checks were slower on construct-check's sparse graphs
-                if v not in self.adj[w]:
-                    raise ValueError(f"edge ({v},{w}) is not symmetric")
+                if w > v:
+                    i = read[w]
+                    if i < len(adj[w]) and adj[w][i] == v:
+                        read[w] = i + 1
+        # a match pairs a listing above the diagonal with a distinct one
+        # below it, so matching half of all listings pairs them all
+        if 2 * sum(read) != sum(map(len, adj)):
+            # name the first unpaired listing in row order
+            v, w = next((v, w) for v, row in enumerate(adj) for w in row if v not in adj[w])
+            raise ValueError(f"edge ({v},{w}) is not symmetric")
 
     @cached_property
     def m(self) -> int:
@@ -124,7 +132,7 @@ def bits(mask: int) -> tuple[int, ...]:
 
 
 def from_masks(n: int, masks: Sequence[int]) -> Graph:
-    """Internal-ish fast path from adjacency bitmasks (assumed symmetric)."""
+    """Graph from adjacency bitmasks; the Graph constructor checks symmetry."""
     return Graph(n, tuple(bits(masks[v]) for v in range(n)))
 
 

@@ -13,19 +13,17 @@ it starts from the header and one "?" (63, an empty group) per 6-bit
 group, and each edge j < k adds 32 >> pos % 6 to byte pos // 6, where
 pos = k(k-1)/2 + j is the edge's place in the triangle. That is one step
 per edge and one byte per group, and nothing larger than the output is
-held. The decoder maps the bytes 63..126 one-to-one onto the base64
-alphabet with bytes.translate, so binascii unpacks the body into one
-integer. It then jumps from one set bit of the triangle to the next, so
-it costs one step per edge, and hands the rows to the validating Graph
-constructor.
+held. The decoder visits only the non-empty groups, which a compiled
+regular expression finds in C, and maps each set bit to its edge (j, k)
+by a column (k, base) that only moves forward. It holds nothing beyond
+the input and the rows, which go to the validating Graph constructor.
 """
 
 from __future__ import annotations
 
-import binascii
 import json
+import re
 from dataclasses import dataclass
-from math import isqrt
 
 from .bounds import max_edges_planar
 from .graphs import Graph, _component_masks, bits, max_degree
@@ -34,8 +32,7 @@ from .planarity import is_planar
 
 _G6_MAX_ORDER = 258047  # the largest order a four-byte header holds; no longer one is read
 _G6_BYTES = bytes(range(63, 127))
-_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-_FROM_G6 = bytes.maketrans(_G6_BYTES, _BASE64)
+_NONEMPTY_GROUP = re.compile(rb"[^?]")
 
 
 def graph6_encode(g: Graph) -> str:
@@ -84,23 +81,22 @@ def graph6_decode(text: str) -> Graph:
         raise ValueError(
             f"graph6 length {len(data)} does not match order {n} (expected {expected})"
         )
-    body = data[header_len:].translate(_FROM_G6)
-    packed = binascii.a2b_base64(body + b"A" * (-len(body) % 4))
-    value = int.from_bytes(packed, "big")
-    spare = 8 * len(packed) - nbits
-    if value & ((1 << spare) - 1):
-        raise ValueError("graph6 padding bits must be zero")
-    triangle = format(value >> spare, f"0{nbits}b")
     # columns arrive in ascending order, so every row fills in ascending
     # order: a vertex's lower neighbours in its own column, then the rest
     rows: list[list[int]] = [[] for _ in range(n)]
-    pos = triangle.find("1")
-    while pos != -1:
-        k = (isqrt(8 * pos + 1) + 1) // 2  # the column holding bit pos
-        j = pos - k * (k - 1) // 2
-        rows[k].append(j)
-        rows[j].append(k)
-        pos = triangle.find("1", pos + 1)
+    k = base = 0  # column k holds the triangle positions base .. base + k - 1
+    for group in _NONEMPTY_GROUP.finditer(data, header_len):
+        start = 6 * (group.start() - header_len) + 5
+        for b in reversed(bits(data[group.start()] - 63)):  # high bit first
+            pos = start - b
+            if pos >= nbits:
+                raise ValueError("graph6 padding bits must be zero")
+            while pos >= base + k:
+                base += k
+                k += 1
+            j = pos - base
+            rows[k].append(j)
+            rows[j].append(k)
     # the Graph constructor validates the rows; from_masks is left to
     # enumerated graphs, whose calls perfbench counts as the census
     return Graph(n, tuple(map(tuple, rows)))

@@ -6,8 +6,10 @@ n <= 7, where a subdivision can use at most two extra vertices), and
 isomorphism is settled by minimizing over all vertex permutations. The
 set bits of a mask are listed one lowest bit at a time, automorphisms
 are counted by a plain backtracking search over degree-preserving vertex
-maps, and the graph6 codec packs and unpacks one bit at a time through
-Graph.has_edge and an edge list, with the same validation and messages.
+maps, the Graph constructor's checks validate every row before looking
+each listing up in its partner's row, and the graph6 codec packs and
+unpacks one bit at a time through Graph.has_edge and an edge list, with
+the same validation and messages.
 
 The reference designated-vertex rule of canonical augmentation decides
 from the definition: a full articulation pass, the degree invariant of
@@ -73,6 +75,32 @@ def reference_bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def reference_graph_check(n: int, adj) -> None:
+    """The Graph constructor's checks as two passes, with the same messages.
+
+    Every row is checked in order for ascent, self-loops and range, and
+    then every listing w of row v is looked up in row w.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if len(adj) != n:
+        raise ValueError("adjacency length does not match vertex count")
+    for v, row in enumerate(adj):
+        prev = -1
+        for w in row:
+            if w <= prev:
+                raise ValueError(f"adjacency of {v} is not strictly ascending")
+            prev = w
+            if w == v:
+                raise ValueError(f"self-loop at {v}")
+            if not 0 <= w < n:
+                raise ValueError(f"label {w} out of range in adjacency of {v}")
+    for v, row in enumerate(adj):
+        for w in row:
+            if v not in adj[w]:
+                raise ValueError(f"edge ({v},{w}) is not symmetric")
 
 
 def brute_matching_number(g: Graph) -> int:

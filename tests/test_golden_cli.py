@@ -3,7 +3,7 @@
 The inputs are those of demos/command_line_tour.sh, plus the d = 6,
 n_max = 8 table, `check` on the output of `construct 6 30` for both
 classes, and a two-worker checkpointed verify whose checkpoint journal
-is pinned too. The two `realize` calls of the tour are left
+is pinned byte for byte too. The two `realize` calls of the tour are left
 out: their answer depends on a wall-clock budget, so a slow machine may
 print "timed-out" where a fast one prints the result.
 
@@ -74,12 +74,8 @@ def test_golden_checkpointed_verify(tmp_path, monkeypatch, capsys):
     assert code == 0
     name = "verify_d6_checkpoint"
     assert out == (GOLDEN / f"{name}.out").read_text()
-    # the journal is the only file, and it holds what the reference
-    # done-list and sidecar (the two-file layout it replaced) held
+    # the journal is the only file, byte for byte the pinned one
     assert list(tmp_path.iterdir()) == [path]
-    header, *entries = map(json.loads, path.read_bytes().splitlines())
-    assert header == {"format": 1, "d": 6, "n_max": 8}
-    done_list = (GOLDEN / f"{name}.ckpt").read_text().splitlines()
-    assert [root for root, _records in entries] == done_list
-    sidecar = json.loads((GOLDEN / f"{name}.ckpt.results.json").read_text())
-    assert dict(entries) == sidecar["roots"]
+    journal = path.read_bytes()
+    assert json.loads(journal.splitlines()[0]) == {"format": 1, "d": 6, "n_max": 8}
+    assert journal == (GOLDEN / f"{name}.journal").read_bytes()

@@ -16,7 +16,7 @@ from planarext import (
 )
 from planarext.graphs import bits, component_counts, from_masks
 
-from oracles import all_labeled_graphs, reference_bits
+from oracles import all_labeled_graphs, reference_bits, reference_graph_check
 
 
 def test_graph_basic_invariants():
@@ -38,7 +38,42 @@ def test_build_graph_rejects_bad_input():
         build_graph(-1, [])
 
 
+def _check_outcome(check, n, adj):
+    try:
+        check(n, adj)
+    except ValueError as exc:
+        return str(exc)
+    return "ok"
+
+
+def test_graph_check_matches_two_pass_reference():
+    # seeded random symmetric rows with one or two listings flipped: a
+    # flip adds w to the row of v or drops it (w == v adds a self-loop)
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(10000):
+        n = rng.randint(1, 12)
+        rows = [set() for _ in range(n)]
+        p = rng.random()
+        for v in range(n):
+            for w in range(v):
+                if rng.random() < p:
+                    rows[v].add(w)
+                    rows[w].add(v)
+        for _ in range(rng.randint(1, 2)):
+            rows[rng.randrange(n)] ^= {rng.randrange(n)}
+        adj = tuple(tuple(sorted(r)) for r in rows)
+        got = _check_outcome(Graph, n, adj)
+        assert got == _check_outcome(reference_graph_check, n, adj), (n, adj)
+        outcomes.add(got.split()[0])
+    # symmetric after all (two flips cancel), asymmetric and self-looped
+    assert outcomes == {"ok", "edge", "self-loop"}, outcomes
+
+
 def test_graph_rejects_malformed_rows_naming_the_first_fault():
+    # K40 with 5 dropped from the row of 30
+    k40 = [tuple(w for w in range(40) if w != v) for v in range(40)]
+    k40[30] = tuple(w for w in k40[30] if w != 5)
     cases = [
         (3, ((1,), (0,), (0,)), "edge (2,0) is not symmetric"),
         (3, ((1, 2), (0,), ()), "edge (0,2) is not symmetric"),
@@ -50,6 +85,9 @@ def test_graph_rejects_malformed_rows_naming_the_first_fault():
         (3, ((1, 5), (0, 1), ()), "label 5 out of range in adjacency of 0"),
         (3, ((1,), (0, 1), ()), "self-loop at 1"),
         (2, ((1,),), "adjacency length does not match vertex count"),
+        # as many listings above the diagonal as below, but not the same pair
+        (3, ((2,), (0,), ()), "edge (0,2) is not symmetric"),
+        (40, tuple(k40), "edge (5,30) is not symmetric"),
     ]
     for n, adj, message in cases:
         with pytest.raises(ValueError) as err:

@@ -282,3 +282,18 @@ def test_encoder_memory_and_digest():
     assert peak <= 3 * len(text), peak / len(text)
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     assert digest == "b1092c8496d9b3255df4a665ee7d4cd02a1a4bbbac9c7c9fd0de0ece39d90b30"
+
+
+def test_decoder_memory():
+    # the same 12,000 vertices: the decoder walks the non-empty groups and
+    # may hold little more than its input and the rows
+    g = pivotal_planar(2, 6001)
+    text = graph6_encode(g)
+    tracemalloc.start()
+    try:
+        back = graph6_decode(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text), peak / len(text)
+    assert back == g

@@ -84,23 +84,19 @@ def vizing_color(g: Graph) -> EdgeColoring:
                     break
         c = free(u)
         d = free(fan[-1])
-        if d not in at[u]:
-            # no inversion needed; d is free at both ends of the fan
-            path: list[tuple[int, int, int]] = []
-        else:
-            # walk the alternating c/d path from u, then flip it
-            path = []
-            x, col = u, d
-            while col in at[x]:
-                w = at[x][col]
-                path.append((x, w, col))
-                x, col = w, (c if col == d else d)
-            for a, b, old in path:
-                del at[a][old]
-                del at[b][old]
-                del color[key(a, b)]
-            for a, b, old in path:
-                assign(a, b, c if old == d else d)
+        # walk the alternating c/d path from u, then flip it
+        path: list[tuple[int, int, int]] = []
+        x, col = u, d
+        while col in at[x]:
+            w = at[x][col]
+            path.append((x, w, col))
+            x, col = w, (c if col == d else d)
+        for a, b, old in path:
+            del at[a][old]
+            del at[b][old]
+            del color[key(a, b)]
+        for a, b, old in path:
+            assign(a, b, c if old == d else d)
         if d in at[u]:
             raise AssertionError(f"color {d} still used at {u} after the path flip")
         # first fan prefix that is still a fan and ends where d is free

@@ -154,8 +154,6 @@ def is_factor_critical(g: Graph) -> bool:
     """
     if g.n == 0 or g.n % 2 == 0:
         return False
-    if g.n == 1:
-        return True
     return all(
         has_perfect_matching(induced_subgraph(g, [u for u in range(g.n) if u != v]))
         for v in range(g.n)

@@ -242,7 +242,8 @@ def component_table(
     The (d-1)-star record is injected analytically when its d vertices
     exceed n_max, so star-built families stay verifiable at small n_max.
     An n_max beyond the enumeration budget raises BudgetExceededError
-    before any work starts.
+    before any work starts. With n_max <= 6 there are no subtree roots,
+    so `checkpoint` is neither read nor written.
     """
     if d < 2:
         raise ValueError("d must be at least 2")

@@ -7,8 +7,7 @@ the signed nesting order; non-planar graphs get a witness edge set that
 is an edge-minimal non-planar subgraph, hence a subdivision of K5 or
 K3,3, which classify_kuratowski verifies by walking its branch paths.
 
-Disconnected input is handled per component. Graphs with at most two
-vertices are planar by definition.
+Disconnected input is handled per component.
 """
 
 from __future__ import annotations
@@ -318,8 +317,6 @@ def _decide(n: int, masks: Sequence[int]) -> bool:
     of K5 needs 5 of degree >= 4, so with fewer of either the graph is
     planar by Kuratowski's theorem and the LR test is skipped.
     """
-    if n <= 2:
-        return True
     degs = [masks[v].bit_count() for v in range(n)]
     if sum(d >= 3 for d in degs) < 6 and sum(d >= 4 for d in degs) < 5:
         return True
@@ -399,8 +396,6 @@ def face_count(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> int:
     is the per-component face total minus (components - 1). The empty
     graph has one face, the whole plane.
     """
-    if g.n == 0:
-        return 1
     # dart i of v, from v to embedding[v][i], has the flat id first[v] + i
     first = list(accumulate(map(len, embedding), initial=0))
     succ = [0] * first[-1]
@@ -444,8 +439,6 @@ def euler_identity_holds(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> bo
 
 def is_planar(g: Graph) -> PlanarityResult:
     """Full planarity test: embedding when planar, Kuratowski witness when not."""
-    if g.n <= 2:
-        return PlanarityResult(True, tuple(tuple(row) for row in g.adj), None)
     planar = not euler_reject(g)
     lr = None
     if planar:

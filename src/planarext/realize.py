@@ -48,11 +48,7 @@ def _residual_feasible(rem: list[int]) -> bool:
     to index p, and their own value after it.
     """
     degs = sorted(rem, reverse=True)
-    if not degs or degs[0] == 0:
-        return True
     n = len(degs)
-    if degs[0] > n - 1:
-        return False
     # suffix[i] is the sum of degs[i:]
     suffix = list(accumulate(reversed(degs), initial=0))[::-1]
     prefix = 0
@@ -127,13 +123,8 @@ def realize_degree_sequence_planar(
             if not is_planar(g).verdict:
                 raise AssertionError("realized graph is not planar")
             return g
-        cands = [
-            u
-            for u in range(n)
-            if u != pivot and rem[u] > 0 and not masks[pivot] >> u & 1
-        ]
-        if len(cands) < need:
-            return None
+        # the pivot's neighbors are earlier pivots, whose demand is 0
+        cands = [u for u in range(n) if u != pivot and rem[u] > 0]
         grouped: dict[tuple[int, int], list[int]] = {}
         for u in cands:
             grouped.setdefault((rem[u], masks[u]), []).append(u)

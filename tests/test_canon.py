@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import random
 
+import pytest
+
 from planarext import build_graph, canonical_form, complete, enumerate_connected, star
 from planarext.canon import _canonical_search, canonical_form_masks
 from planarext.graphs import from_masks
@@ -98,6 +100,20 @@ def test_vertex_colors_split_classes():
     end_marked = canonical_form(path, colors=[1, 0, 0])
     mid_marked = canonical_form(path, colors=[0, 1, 0])
     assert end_marked != mid_marked
+
+
+@pytest.mark.parametrize(
+    "n,colors,message",
+    [
+        (256, None, "canonical_form supports at most 255 vertices"),
+        (3, [0, 0], "colors must be one small non-negative int per vertex"),
+        (3, [0, 256, 0], "colors must be one small non-negative int per vertex"),
+    ],
+    ids=["order-256", "short-colors", "color-256"],
+)
+def test_canonical_form_refusals(n, colors, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        canonical_form(build_graph(n, []), colors)
 
 
 def test_canonical_forms_pinned():

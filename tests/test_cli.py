@@ -181,8 +181,12 @@ def test_usage_errors_exit_one(capsys):
         assert code == 1, argv
         assert out == ""
         assert err.startswith("planarext: error: ") and err.count("\n") == 1
-    code, out, err = run(capsys, "realize", "3", "3", "3")
-    assert (code, out, err) == (1, "", "planarext: error: degree sum must be even\n")
+    for argv, message in (
+        (["realize", "3", "3", "3"], "degree sum must be even"),
+        (["realize", "4^-1"], "bad repeat count in '4^-1'"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"planarext: error: {message}\n")
 
 
 def test_realize_refuses_more_degrees_than_graph6_prints(monkeypatch, capsys):
@@ -223,6 +227,22 @@ def test_construct_refuses_more_vertices_than_graph6_prints(monkeypatch, capsys)
     # one pair fewer fits, and goes on to the union
     code, out, err = run(capsys, "construct", "2", "129024")
     assert err == "planarext: error: the construction was built\n"
+
+
+def test_checkpoint_of_a_run_without_subtree_roots_is_never_opened(tmp_path, monkeypatch, capsys):
+    # n_max <= 6 enumerates every order in one pass, with no roots to journal
+    argv = ["verify", "--d", "6", "--nu", "4", "--n-max", "6", "--checkpoint"]
+    fresh = tmp_path / "fresh.ck"
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    code, out, err = run(capsys, *argv, str(fresh))
+    assert (code, err) == (0, "") and json.loads(out)["status"] == "confirmed"
+    assert not fresh.exists()
+    junk = tmp_path / "junk.ck"
+    junk.write_bytes(b"not a journal\n")
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    assert run(capsys, *argv, str(junk)) == (0, out, "")
+    assert list(tmp_path.iterdir()) == [junk]
+    assert junk.read_bytes() == b"not a journal\n"
 
 
 def _resume_after_edit(tmp_path, monkeypatch, capsys, edit):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -45,6 +46,22 @@ def test_vizing_on_planar_sample():
         coloring = vizing_color(g)
         assert coloring.palette_size <= max_degree(g) + 1
         assert _color_classes_are_matchings(coloring)
+
+
+def test_vizing_colorings_pinned():
+    # every connected graph on at most 7 vertices; computed before the
+    # path walk ran for a color already free at u
+    digest = hashlib.sha256()
+    count = 0
+    for g in enumerate_connected(7, 6):
+        coloring = vizing_color(g)
+        colors = sorted(coloring.color_of.items())
+        digest.update(repr((coloring.palette_size, colors)).encode("ascii"))
+        count += 1
+    assert count == 996
+    assert digest.hexdigest() == (
+        "14920230868a0b7854627c1445f09aa64ad93bf0d10712ddd64305543209f968"
+    )
 
 
 def test_vizing_on_random_multicomponent():

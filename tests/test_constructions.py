@@ -67,6 +67,9 @@ def test_star_and_complete():
     assert k.n == 6 and k.m == 15
     assert star(0).n == 1
     assert complete(1).m == 0
+    for build, message in ((star, "leaf count"), (complete, "order")):
+        with pytest.raises(ValueError, match=f"^{message} must be nonnegative$"):
+            build(-1)
 
 
 def test_k_prime_shape():

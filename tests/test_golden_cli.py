@@ -5,7 +5,8 @@ n_max = 8 table, `check` on the output of `construct 6 30` for both
 classes, and a two-worker checkpointed verify whose checkpoint journal
 is pinned byte for byte too. The two `realize` calls of the tour are left
 out: their answer depends on a wall-clock budget, so a slow machine may
-print "timed-out" where a fast one prints the result.
+print "timed-out" where a fast one prints the result. The three `realize`
+cases here run with `--timeout inf`, so their answers are fixed.
 
 Each file holds the standard output of `planarext ARGV`, which exits 0.
 """
@@ -34,6 +35,9 @@ CASES = {
     "verify_d4": ["verify", "--d", "4", "--nu", "5", "--n-max", "7"],
     "color": ["color", "D]w"],
     "table_d6": ["table", "--d", "6", "--n-max", "8"],
+    "realize_4x6": ["realize", "4^6", "--timeout", "inf"],
+    "realize_4x7": ["realize", "4^7", "--timeout", "inf"],
+    "realize_5x10_4": ["realize", "5^10", "4", "--timeout", "inf"],
 }
 
 

@@ -85,6 +85,7 @@ def test_graph_rejects_malformed_rows_naming_the_first_fault():
         (3, ((1, 5), (0, 1), ()), "label 5 out of range in adjacency of 0"),
         (3, ((1,), (0, 1), ()), "self-loop at 1"),
         (2, ((1,),), "adjacency length does not match vertex count"),
+        (-1, (), "vertex count must be non-negative"),
         # as many listings above the diagonal as below, but not the same pair
         (3, ((2,), (0,), ()), "edge (0,2) is not symmetric"),
         (40, tuple(k40), "edge (5,30) is not symmetric"),

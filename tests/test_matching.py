@@ -102,6 +102,9 @@ def test_factor_critical():
     assert is_factor_critical(c5)
     assert is_factor_critical(complete(5))
     assert is_factor_critical(build_graph(1, []))
+    assert not is_factor_critical(build_graph(0, []))
+    assert not is_factor_critical(build_graph(2, []))
+    assert not is_factor_critical(build_graph(2, [(0, 1)]))
     assert not is_factor_critical(complete(4))  # even order
     assert not is_factor_critical(star(4))
     c4 = build_graph(4, [(i, (i + 1) % 4) for i in range(4)])

@@ -12,12 +12,15 @@ import pytest
 import planarext
 
 from planarext import (
+    Graph,
+    PlanarityResult,
     atlas,
     build_graph,
     canonical_form,
     classify_kuratowski,
     complement,
     complete,
+    enumerate_connected,
     enumeration,
     euler_identity_holds,
     euler_reject,
@@ -161,6 +164,29 @@ def test_pivotal_embeddings_pinned():
     )
 
 
+def test_results_on_small_connected_graphs_pinned():
+    # verdict, embedding and witness of the 996 connected graphs on at
+    # most 7 vertices, 221 of them non-planar; computed before graphs on
+    # two vertices or fewer went through the LR test
+    digest = hashlib.sha256()
+    for g in enumerate_connected(7, 6):
+        digest.update(repr(is_planar(g)).encode("ascii"))
+    assert digest.hexdigest() == (
+        "e615c52da562d5df3c6202cf2d16a26eab9f78711363c91426763768415f8012"
+    )
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph(0, ()), Graph(1, ((),)), Graph(2, ((), ())), Graph(2, ((1,), (0,)))],
+    ids=["K0", "K1", "2K1", "K2"],
+)
+def test_graphs_on_at_most_two_vertices(g):
+    # the LR test embeds each one as its own adjacency rows
+    assert is_planar(g) == PlanarityResult(True, g.adj, None)
+    assert _decide(g.n, g.masks)
+
+
 def test_kuratowski_witnesses_classified():
     k5 = complete(5)
     r5 = is_planar(k5)
@@ -259,6 +285,7 @@ def test_face_count_values():
     assert face_count(tree, is_planar(tree).embedding) == 1
     edgeless = build_graph(3, [])
     assert face_count(edgeless, is_planar(edgeless).embedding) == 1
+    assert face_count(build_graph(0, []), ()) == 1
 
 
 def test_face_count_matches_dict_tracer_on_any_rotation_system():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from planarext import is_planar, realize_degree_sequence_planar
+from planarext import graph6_encode, is_planar, realize, realize_degree_sequence_planar
 from planarext.realize import _group_selections, _residual_feasible
 
 from oracles import reference_group_selections, reference_residual_feasible
@@ -76,7 +78,7 @@ def test_non_graphical_inputs():
     assert realize_degree_sequence_planar([3, 3, 1, 1]).status == "exhausted"
 
 
-def test_timeout_is_a_result():
+def test_timeout_is_a_result(monkeypatch):
     result = realize_degree_sequence_planar([4] * 7, budget=0.0)
     assert result.status == "timed-out"
     assert result.graph is None
@@ -85,6 +87,36 @@ def test_timeout_is_a_result():
     for budget in (float("nan"), -1.0, float("-inf")):
         with pytest.raises(ValueError, match="budget"):
             realize_degree_sequence_planar([5] * 10 + [4], budget=budget)
+    # a clock that lapses after the root's own check, before its first selection
+    readings = iter([0.0, 0.0])
+    monkeypatch.setattr(realize, "time", SimpleNamespace(monotonic=lambda: next(readings, 2.0)))
+    assert realize_degree_sequence_planar([4] * 6, budget=1.0).status == "timed-out"
+
+
+def _pinned_sequences():
+    """400 seeded sequences, n <= 9 and degrees <= 5 with an even sum, then five fixed ones."""
+    rng = random.Random(19)
+    seqs = []
+    for _ in range(400):
+        seq = [rng.randint(0, 5) for _ in range(rng.randint(0, 9))]
+        if sum(seq) % 2:
+            seq[0] += 1 if seq[0] < 5 else -1
+        seqs.append(seq)
+    return seqs + [[5] * 10 + [4], [4] * 7, [5] * 12, [3] * 8, [4] * 6]
+
+
+def test_unbudgeted_results_pinned():
+    # status and graph6 of each result, computed before the search lost
+    # its adjacency filter, its short-candidate guard and the residual
+    # check's early returns; 163 found and 242 exhausted
+    digest = hashlib.sha256()
+    for seq in _pinned_sequences():
+        result = realize_degree_sequence_planar(seq, budget=None)
+        g6 = "-" if result.graph is None else graph6_encode(result.graph)
+        digest.update(f"{result.status} {g6}\n".encode("ascii"))
+    assert digest.hexdigest() == (
+        "540c331e3d1ea187065f7d75611d94467bd7ee2e7a8cbc5b11b47715397a2ca6"
+    )
 
 
 def test_residual_check_matches_quadratic_reference():

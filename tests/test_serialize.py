@@ -99,6 +99,9 @@ def test_long_form_round_trip():
     assert graph6_decode(text).adj == g.adj
     h = build_graph(63, [(0, 62)])
     assert graph6_decode(graph6_encode(h)).adj == h.adj
+    # one vertex past the largest order the long form can name
+    with pytest.raises(ValueError, match="^graph6 supports at most 258047 vertices$"):
+        graph6_encode(build_graph(258048, []))
 
 
 def test_decode_rejects_malformed():

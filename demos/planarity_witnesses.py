@@ -63,7 +63,7 @@ except ValueError as exc:
 # ---------------------------------------------------------------------------
 # Seven vertices, all degrees 4, is impossible in the plane: 14 edges
 # obeys m <= 3n - 6 = 15, so edge counting alone cannot rule it out
-# (euler_reject is the cheap pre-filter and stays silent here). The two
+# (the edge-count test euler_reject stays silent here). The two
 # 4-regular graphs on 7 vertices are the complements of C7 and of
 # C4 + C3, and the full test finds a K3,3 or K5 subdivision in each.
 

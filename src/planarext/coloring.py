@@ -99,13 +99,9 @@ def vizing_color(g: Graph) -> EdgeColoring:
             assign(a, b, c if old == d else d)
         if d in at[u]:
             raise AssertionError(f"color {d} still used at {u} after the path flip")
-        # first fan prefix that is still a fan and ends where d is free
+        # first fan vertex where d is free; the flip leaves the fan up to it a fan
         j = None
         for i, w in enumerate(fan):
-            if i > 0:
-                cw = color.get(key(u, fan[i]))
-                if cw is None or cw in at[fan[i - 1]]:
-                    break  # prefix beyond here is no longer a fan
             if d not in at[w]:
                 j = i
                 break

@@ -1,11 +1,12 @@
 """Planarity testing with certificates on both sides of the verdict.
 
-The decision procedure is the left-right test (orient by DFS, then check
-that back edges can be two-sided consistently via a stack of conflict
-pairs). Planar graphs additionally get a rotation-system embedding out of
-the signed nesting order; non-planar graphs get a witness edge set that
-is an edge-minimal non-planar subgraph, hence a subdivision of K5 or
-K3,3, which classify_kuratowski verifies by walking its branch paths.
+The verdict comes from the left-right test alone (orient by DFS, then
+check that back edges can be two-sided consistently via a stack of
+conflict pairs). Planar graphs additionally get a rotation-system
+embedding out of the signed nesting order; non-planar graphs get a
+witness edge set that is an edge-minimal non-planar subgraph, hence a
+subdivision of K5 or K3,3, which classify_kuratowski verifies by walking
+its branch paths. The witness pass decides a whole run of edges at once.
 
 Disconnected input is handled per component.
 """
@@ -332,18 +333,30 @@ def _minimize_witness(g: Graph) -> tuple[tuple[int, int], ...]:
 
     One pass suffices: once removing an edge would restore planarity, that
     stays true as further edges are removed (subgraphs of planar graphs
-    are planar), so every kept edge remains critical.
+    are planar), so every kept edge remains critical. A run of edges goes
+    in one decision when the rest stays non-planar, and the next run is
+    twice as long; a run that would restore planarity is halved. So the
+    pass keeps exactly the edges an edge-by-edge pass keeps.
     """
-    masks = list(g.masks)
+    masks = g.masks
+    edges = g.edges()
     kept = []
-    for u, v in g.edges():
-        masks[u] ^= 1 << v
-        masks[v] ^= 1 << u
-        if _decide(g.n, masks):
-            # this edge is critical: put it back for good
-            masks[u] ^= 1 << v
-            masks[v] ^= 1 << u
-            kept.append((u, v))
+    i, run = 0, 1
+    while i < len(edges):
+        trial = list(masks)
+        for u, v in edges[i : i + run]:
+            trial[u] ^= 1 << v
+            trial[v] ^= 1 << u
+        if not _decide(g.n, trial):
+            masks = trial
+            i += run
+            run *= 2
+        elif run > 1:
+            # the run holds a critical edge: try half of it
+            run //= 2
+        else:
+            kept.append(edges[i])
+            i += 1
     return tuple(kept)
 
 
@@ -399,25 +412,11 @@ def face_count(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> int:
     # dart i of v, from v to embedding[v][i], has the flat id first[v] + i
     first = list(accumulate(map(len, embedding), initial=0))
     succ = [0] * first[-1]
-    # the pass that links the darts also floods the components with edges
-    reached = [False] * g.n
-    pieces = 0
-    for root in range(g.n):
-        if reached[root] or not embedding[root]:
-            continue
-        pieces += 1
-        reached[root] = True
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            rot = embedding[v]
-            base, k = first[v], len(rot)
-            for i, u in enumerate(rot, 1):
-                if not reached[u]:
-                    reached[u] = True
-                    stack.append(u)
-                # a face turns from the dart u -> v onto the next dart around v
-                succ[first[u] + embedding[u].index(v)] = base + (i if i < k else 0)
+    for v, rot in enumerate(embedding):
+        base, k = first[v], len(rot)
+        for i, u in enumerate(rot, 1):
+            # a face turns from the dart u -> v onto the next dart around v
+            succ[first[u] + embedding[u].index(v)] = base + (i if i < k else 0)
     faces = 0
     for start in range(len(succ)):
         if succ[start] < 0:
@@ -427,8 +426,9 @@ def face_count(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> int:
         while succ[cur] >= 0:
             # -1 marks a traced dart
             succ[cur], cur = -1, succ[cur]
-    # the pieces share one outer face, and isolated vertices lie in it
-    return faces - (pieces - 1)
+    # the components with edges share one outer face; isolated vertices lie in it
+    components, edgeless = component_counts(g)
+    return faces - (components - edgeless - 1)
 
 
 def euler_identity_holds(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> bool:
@@ -439,13 +439,9 @@ def euler_identity_holds(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> bo
 
 def is_planar(g: Graph) -> PlanarityResult:
     """Full planarity test: embedding when planar, Kuratowski witness when not."""
-    planar = not euler_reject(g)
-    lr = None
-    if planar:
-        lr = _LRTest(g.n, g.adj)
-        lr.orient()
-        planar = lr.test()
-    if not planar:
+    lr = _LRTest(g.n, g.adj)
+    lr.orient()
+    if not lr.test():
         witness = _minimize_witness(g)
         classify_kuratowski(witness)  # raises ValueError unless K5 or K3,3
         return PlanarityResult(False, None, witness)

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 
 from .bounds import max_edges_planar
-from .graphs import Graph, _component_masks, bits, max_degree
+from .graphs import Graph, _component_masks, bits, from_masks, max_degree
 from .matching import matching_number
 from .planarity import is_planar
 
@@ -161,11 +161,7 @@ def certificate(g: Graph, d: int, nu: int) -> CertificateReport:
         else:  # contiguous labels: the relabelling is a shift
             key = tuple(m >> low for m in masks[low : low + span.bit_length()])
         groups[key] = groups.get(key, 0) + 1
-    # built from the rows directly: from_masks is left to enumerated graphs
-    parts = [
-        (Graph(len(key), tuple(bits(m) for m in key)), count)
-        for key, count in groups.items()
-    ]
+    parts = [(from_masks(len(key), key), count) for key, count in groups.items()]
     planar = all(is_planar(c).verdict for c, _ in parts)
     nu_g = sum(count * matching_number(c) for c, count in parts)
     maxdeg = max_degree(g)

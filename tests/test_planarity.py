@@ -28,6 +28,7 @@ from planarext import (
     is_outerplanar,
     is_planar,
     pivotal_planar,
+    planarity,
     star,
 )
 from planarext.graphs import component_counts, disjoint_union, from_masks
@@ -149,6 +150,45 @@ def test_lr_kernel_matches_reference(monkeypatch):
             assert result.witness == reference_minimize_witness(g), g.adj
         kinds.add((result.verdict, component_counts(g)[0] > 1))
     assert kinds == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def _counted_decide(monkeypatch):
+    """Route planarity._decide through a counter; returns the count so far."""
+    calls = [0]
+    decide = planarity._decide
+
+    def counted(n, masks):
+        calls[0] += 1
+        return decide(n, masks)
+
+    monkeypatch.setattr(planarity, "_decide", counted)
+    return lambda: calls[0]
+
+
+def test_witness_of_a_small_core_in_a_large_graph(monkeypatch):
+    # a 40x40 grid with a K5 joined to vertex 0: 1,605 vertices, 3,131
+    # edges; the witness pass settles runs of edges, not one edge a call
+    k = 40
+    n = k * k
+    edges = [(v, v + 1) for v in range(n) if v % k < k - 1]
+    edges += [(v, v + k) for v in range(n - k)]
+    k5 = [(n + i, n + j) for i in range(5) for j in range(i + 1, 5)]
+    g = build_graph(n + 5, edges + k5 + [(0, n)])
+    calls = _counted_decide(monkeypatch)
+    result = is_planar(g)
+    assert result.witness == tuple(k5)
+    assert calls() <= 100
+
+
+def test_witness_pass_cost_on_small_graphs(monkeypatch):
+    # the 221 non-planar connected graphs on at most 7 vertices: runs
+    # must not cost much more than the 3,076 calls of an edge-by-edge pass
+    graphs = [g for g in enumerate_connected(7, 6) if not _decide(g.n, g.masks)]
+    assert len(graphs) == 221
+    calls = _counted_decide(monkeypatch)
+    for g in graphs:
+        planarity._minimize_witness(g)
+    assert calls() <= 3845
 
 
 def test_pivotal_embeddings_pinned():

@@ -26,7 +26,8 @@ the smaller canonical form), making output independent of scheduling. A
 checkpoint is an append-only journal: a header line naming (d, n_max),
 then one line per finished root (its hex canonical form and its per-mu
 records), in job order, so that a rerun resumes where the last one
-stopped and any worker count writes the same bytes.
+stopped and any worker count writes the same bytes. Records stay Graphs
+from subtree to table: the journal loader alone reads and checks graph6.
 """
 
 from __future__ import annotations
@@ -79,34 +80,33 @@ class FalsificationError(RuntimeError):
         self.formula_value = formula_value
 
 
-_Best = dict[int, tuple[int, bytes | None, Graph]]  # mu -> (edges, canon, witness)
+_Best = dict[int, tuple[bytes | None, Graph]]  # mu -> (canon, witness)
 
 
-def _offer(best: _Best, g: Graph) -> int | None:
-    """File g under its matching number mu and return mu (None when mu < 1).
+def _offer(best: _Best, g: Graph) -> None:
+    """File g under its matching number mu, unless mu < 1.
 
     The smaller canonical form wins an edge-count tie. Forms are computed
     only there, and best keeps the stored witness's form for the next tie.
     """
     mu = matching_number(g)
     if mu < 1:
-        return None
+        return
     cur = best.get(mu)
-    if cur is None or g.m > cur[0]:
-        best[mu] = (g.m, None, g)
-    elif g.m == cur[0]:
-        edges, cur_form, witness = cur
+    if cur is None or g.m > cur[1].m:
+        best[mu] = (None, g)
+    elif g.m == cur[1].m:
+        cur_form, witness = cur
         if cur_form is None:
             cur_form = canonical_form(witness)
-            best[mu] = (edges, cur_form, witness)
+            best[mu] = (cur_form, witness)
         form = canonical_form(g)
         if form < cur_form:
-            best[mu] = (g.m, form, g)
-    return mu
+            best[mu] = (form, g)
 
 
-def _subtree_worker(args: tuple[tuple[int, ...], int, int]) -> dict[str, list]:
-    """Best per-mu results over one generation subtree (root included)."""
+def _subtree_worker(args: tuple[tuple[int, ...], int, int]) -> dict[int, Graph]:
+    """Best witness per mu over one generation subtree (root included)."""
     root, n_max, deg_max = args
     best: _Best = {}
     _offer(best, from_masks(len(root), root))
@@ -118,39 +118,16 @@ def _subtree_worker(args: tuple[tuple[int, ...], int, int]) -> dict[str, list]:
             for child in _children(n, masks, deg_max, True):
                 _offer(best, from_masks(n + 1, child))
                 stack.append(child)
-    return {str(mu): [e, graph6_encode(g)] for mu, (e, _f, g) in best.items()}
+    return {mu: g for mu, (_form, g) in best.items()}
 
 
-def _merge_sidecar(best: _Best, payload: dict[str, list], d: int) -> None:
-    """File one root's records; raise ValueError on a record that is not sound.
-
-    A record is an [edges, graph6] pair under a decimal mu key, and its
-    witness must be a connected planar graph with max degree below d,
-    with that matching number and that many edges.
-    """
-    for mu_text, record in payload.items():
-        if not (
-            mu_text.isascii()
-            and mu_text.isdigit()
-            and isinstance(record, list)
-            and len(record) == 2
-            and type(record[0]) is int
-            and isinstance(record[1], str)
-        ):
-            raise ValueError(
-                f"checkpoint record for mu={mu_text!r} is not an [edges, graph6] pair"
-            )
-        edges, g6 = record
-        g = graph6_decode(g6)
-        if not (is_connected(g) and max_degree(g) < d and is_planar(g).verdict):
-            raise ValueError(
-                f"checkpoint witness for mu={mu_text} is not a connected planar "
-                f"graph with max degree below {d}"
-            )
-        if _offer(best, g) != int(mu_text) or g.m != edges:
-            raise ValueError(
-                f"checkpoint record for mu={mu_text} does not match its witness"
-            )
+def _class_fault(g: Graph, d: int) -> str | None:
+    """The first way g fails to be a connected planar graph with Δ < d, or None."""
+    if not is_connected(g):
+        return "not connected"
+    if not max_degree(g) < d:
+        return f"max degree not below {d}"
+    return None if is_planar(g).verdict else "not planar"
 
 
 def _journal_line(value: object) -> bytes:
@@ -165,12 +142,15 @@ def _journal_header(d: int, n_max: int) -> bytes:
 
 def _load_checkpoint(
     path: str, d: int, n_max: int, roots: set[str]
-) -> dict[str, dict[str, list]]:
+) -> dict[str, dict[int, Graph]]:
     """The finished roots in the journal at path, in the order they were written.
 
-    A torn last line (no newline) is cut off, so that its root is
-    recomputed. Anything else that this run did not write raises
-    ValueError before the file is touched.
+    Journal records are read and checked here alone: an [edges, graph6]
+    pair under a decimal key mu >= 1, whose witness is a connected planar
+    graph with Δ < d, matching number mu and that many edges. Anything
+    else that this run did not write raises ValueError before the file
+    is touched; only then is a torn last line (no newline) cut off, so
+    that its root is recomputed.
     """
     try:
         with open(path, "rb") as fh:
@@ -186,7 +166,7 @@ def _load_checkpoint(
         )
     end = data.rfind(b"\n") + 1
     lines = data[len(header) : end].split(b"\n")[:-1]
-    done: dict[str, dict[str, list]] = {}
+    done: dict[str, dict[int, Graph]] = {}
     for number, line in enumerate(lines, start=2):
         try:
             entry = json.loads(line)
@@ -206,7 +186,32 @@ def _load_checkpoint(
             )
         if root in done:
             raise ValueError(f"checkpoint {path} line {number}: root {root} appears twice")
-        done[root] = payload
+        records = done[root] = {}
+        for mu_text, record in payload.items():
+            if not (
+                mu_text.isascii()
+                and mu_text.isdigit()
+                and isinstance(record, list)
+                and len(record) == 2
+                and type(record[0]) is int
+                and isinstance(record[1], str)
+            ):
+                raise ValueError(
+                    f"checkpoint record for mu={mu_text!r} is not an [edges, graph6] pair"
+                )
+            edges, g6 = record
+            g = graph6_decode(g6)
+            if _class_fault(g, d):
+                raise ValueError(
+                    f"checkpoint witness for mu={mu_text} is not a connected planar "
+                    f"graph with max degree below {d}"
+                )
+            mu = int(mu_text)
+            if mu < 1 or matching_number(g) != mu or g.m != edges:
+                raise ValueError(
+                    f"checkpoint record for mu={mu_text} does not match its witness"
+                )
+            records[mu] = g
     if end < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(end)
@@ -214,13 +219,14 @@ def _load_checkpoint(
 
 
 def _save_checkpoint(
-    path: str, d: int, n_max: int, root: str, payload: dict[str, list]
+    path: str, d: int, n_max: int, root: str, records: dict[int, Graph]
 ) -> None:
-    """Append one finished root to the journal at path, then fsync it.
+    """Append one finished root's witnesses to the journal at path, then fsync.
 
     A new or empty journal gets its header line first. Nothing written is
     ever rewritten.
     """
+    payload = {str(mu): [g.m, graph6_encode(g)] for mu, g in records.items()}
     with open(path, "ab") as fh:
         if fh.tell() == 0:
             fh.write(_journal_header(d, n_max))
@@ -267,12 +273,10 @@ def component_table(
                 _offer(best, from_masks(len(masks), masks))
     if roots:
         names = [form.hex() for _masks, form in roots]
-        done = {}
-        if checkpoint:
-            done = _load_checkpoint(checkpoint, d, n_max, set(names))
-        # a bad record in the journal fails the run before any root is computed
-        for payload in done.values():
-            _merge_sidecar(best, payload, d)
+        done = _load_checkpoint(checkpoint, d, n_max, set(names)) if checkpoint else {}
+        for records in done.values():
+            for g in records.values():
+                _offer(best, g)
         todo = [i for i, name in enumerate(names) if name not in done]
         jobs = [(roots[i][0], n_max, deg_max) for i in todo]
         pool = nullcontext()
@@ -287,26 +291,21 @@ def component_table(
             for i, result in zip(todo, run(_subtree_worker, jobs)):
                 if checkpoint:
                     _save_checkpoint(checkpoint, d, n_max, names[i], result)
-                _merge_sidecar(best, result, d)
+                for g in result.values():
+                    _offer(best, g)
     if d > n_max:
         _offer(best, star(d - 1))
     records = []
     for mu in sorted(best):
-        edges, _form, witness = best[mu]
-        if not is_connected(witness):
-            raise AssertionError(f"witness for mu={mu}: not connected")
-        if not max_degree(witness) < d:
-            raise AssertionError(f"witness for mu={mu}: max degree not below {d}")
+        _form, witness = best[mu]
         if matching_number(witness) != mu:
             raise AssertionError(f"witness for mu={mu}: wrong matching number")
-        if witness.m != edges:
-            raise AssertionError(f"witness for mu={mu}: not {edges} edges")
-        if not is_planar(witness).verdict:
-            raise AssertionError(f"witness for mu={mu}: not planar")
+        if fault := _class_fault(witness, d):
+            raise AssertionError(f"witness for mu={mu}: {fault}")
         records.append(
             ComponentRecord(
                 mu=mu,
-                best_edges=edges,
+                best_edges=witness.m,
                 witness=witness,
                 exhaustive=2 * mu + 1 <= n_max,
             )

@@ -299,6 +299,7 @@ def _with_line(index, reshape):
         (_with_record("2", [7]), "checkpoint record for mu='2' is not an [edges, graph6] pair"),
         (_with_record("2", ["7", "Drw"]), "is not an [edges, graph6] pair"),
         (_with_record("x", [7, "Drw"]), "checkpoint record for mu='x' is not an"),
+        (_with_record("0", [0, "@"]), "checkpoint record for mu=0 does not match its witness"),
         (_with_line(1, lambda root, recs: {root: recs}), "line 2 does not map roots to records"),
         (_with_line(3, lambda root, recs: [[root, recs]]), "line 4 does not map roots to records"),
         (_with_line(2, lambda root, recs: [root, [recs]]), "line 3 does not map roots to records"),
@@ -306,8 +307,8 @@ def _with_line(index, reshape):
         (lambda lines: lines + ["[" * 10**5 + "]" * 10**5], "does not map roots to records"),
     ],
     ids=[
-        "int", "short", "str-edges", "bad-key", "roots-list", "data-list", "root-list",
-        "not-json", "deep-json",
+        "int", "short", "str-edges", "bad-key", "mu-zero", "roots-list", "data-list",
+        "root-list", "not-json", "deep-json",
     ],
 )
 def test_checkpoint_malformed_record_exits_one(tmp_path, monkeypatch, capsys, edit, message):

@@ -83,3 +83,21 @@ def test_golden_checkpointed_verify(tmp_path, monkeypatch, capsys):
     journal = path.read_bytes()
     assert json.loads(journal.splitlines()[0]) == {"format": 1, "d": 6, "n_max": 8}
     assert journal == (GOLDEN / f"{name}.journal").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_golden_verify_resumed_from_the_pinned_journal(tmp_path, monkeypatch, capsys, workers):
+    # every root is in the journal: nothing is computed, nothing appended
+    def no_subtree(args):
+        raise AssertionError("a subtree was computed")
+
+    name = "verify_d6_checkpoint"
+    path = tmp_path / "ck.txt"
+    path.write_bytes((GOLDEN / f"{name}.journal").read_bytes())
+    monkeypatch.setattr(oracle, "_subtree_worker", no_subtree)
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    argv = ["verify", "--d", "6", "--nu", "4", "--n-max", "8", "--workers", workers]
+    code = main(argv + ["--checkpoint", str(path)])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+    assert path.read_bytes() == (GOLDEN / f"{name}.journal").read_bytes()

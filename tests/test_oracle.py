@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from planarext import (
     canonical_form,
     combine,
     component_table,
+    graph6_encode,
     is_connected,
     is_planar,
     matching_number,
@@ -26,6 +28,8 @@ from planarext.oracle import _component_cap
 
 from oracles import reference_verify_theorem
 
+
+GOLDEN = Path(__file__).parent / "golden"
 
 EXPECTED_TABLES = {
     (3, 5): {1: 3, 2: 5},
@@ -242,6 +246,69 @@ def test_checkpoint_record_that_disagrees_with_its_key(tmp_path, monkeypatch):
         with pytest.raises(ValueError, match="does not match its witness"):
             component_table(4, 7, checkpoint=str(path))
         assert path.read_text() == journal
+
+
+def _k5_under_mu_2(payload):
+    payload["2"] = [10, "D~{"]
+
+
+def _mu_3_moved_to_8(payload):
+    payload["8"] = payload.pop("3")
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (_k5_under_mu_2, "checkpoint witness for mu=2 is not a connected planar graph"),
+        (_mu_3_moved_to_8, "checkpoint record for mu=8 does not match its witness"),
+    ],
+    ids=["K5", "moved-key"],
+)
+def test_refused_journal_keeps_its_torn_last_line(tmp_path, monkeypatch, corrupt, message):
+    # the torn tail would be cut on resume, but a bad record earlier
+    # refuses the journal first, and a refused journal is left as it was
+    path = tmp_path / "check.txt"
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    component_table(4, 7, checkpoint=str(path))
+    header, *clean = path.read_text().splitlines(keepends=True)
+    entries = [json.loads(line) for line in clean]
+    corrupt(next(records for _root, records in entries if "2" in records and "3" in records))
+    journal = header + "".join(json.dumps(e) + "\n" for e in entries) + '["abc", {'
+    path.write_text(journal)
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    with pytest.raises(ValueError, match=message):
+        component_table(4, 7, checkpoint=str(path))
+    assert path.read_text() == journal
+
+
+def test_serial_table_does_each_piece_of_work_once(monkeypatch):
+    # without a journal, no witness is encoded or decoded, and each
+    # record's planarity is certified once, by the final check
+    def no_codec(*args):
+        raise AssertionError("graph6 used outside the journal")
+
+    calls = []
+
+    def counted_is_planar(g):
+        calls.append(g)
+        return is_planar(g)
+
+    monkeypatch.setattr(oracle, "graph6_encode", no_codec)
+    monkeypatch.setattr(oracle, "graph6_decode", no_codec)
+    monkeypatch.setattr(oracle, "is_planar", counted_is_planar)
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    table = component_table(6, 8)
+    pinned = json.loads((GOLDEN / "table_d6.out").read_text())
+    assert [
+        {
+            "mu": r.mu,
+            "best_edges": r.best_edges,
+            "exhaustive": r.exhaustive,
+            "witness_g6": graph6_encode(r.witness),
+        }
+        for r in table
+    ] == pinned
+    assert calls == [r.witness for r in table]
 
 
 def test_worker_count_is_capped_by_pending_roots(monkeypatch):

@@ -144,6 +144,9 @@ def _canonical_search(
             search(child)
 
     search(start)
+    # search's closure holds search itself: emptying that cell breaks the
+    # cycle, so reference counting frees the search state at once
+    del search
     if best is None:
         raise AssertionError("canonical search reached no leaf")
     for u, v in twins:

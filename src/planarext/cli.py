@@ -18,6 +18,7 @@ from .bounds import max_edges_general, max_edges_outerplanar, max_edges_planar
 from .coloring import vizing_color
 from .constructions import extremal_general, pivotal_planar
 from .enumeration import BudgetExceededError
+from .graphs import Graph
 from .oracle import FalsificationError, component_table, verify_theorem
 from .realize import realize_degree_sequence_planar
 from .serialize import _G6_MAX_ORDER, certificate, dot_export, graph6_decode, graph6_encode
@@ -29,6 +30,18 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+_G6_HELP = "a graph6 string, or - to read one from standard input"
+
+
+def _read_graph(arg: str) -> Graph:
+    """The graph that a g6 argument names.
+
+    "-" is never graph6 (its byte is below 63), so it stands for standard
+    input, which carries graphs too long for one command-line argument.
+    """
+    return graph6_decode(sys.stdin.read().strip() if arg == "-" else arg)
 
 
 def _build_parser() -> _Parser:
@@ -57,7 +70,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=("g6", "dot", "json"), default="g6")
 
     p = sub.add_parser("check", help="certify a graph against class parameters")
-    p.add_argument("g6")
+    p.add_argument("g6", help=_G6_HELP)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--nu", type=int, required=True)
 
@@ -73,7 +86,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", default=None)
 
     p = sub.add_parser("color", help="properly edge-color a graph with at most Δ+1 colors")
-    p.add_argument("g6")
+    p.add_argument("g6", help=_G6_HELP)
 
     p = sub.add_parser("realize", help="search for a planar graph with given degrees")
     p.add_argument(
@@ -139,7 +152,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "check":
-        report = certificate(graph6_decode(args.g6), args.d, args.nu)
+        report = certificate(_read_graph(args.g6), args.d, args.nu)
         print(report.to_json())
         return 0
 
@@ -177,7 +190,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "color":
-        g = graph6_decode(args.g6)
+        g = _read_graph(args.g6)
         coloring = vizing_color(g)
         payload = {
             "palette_size": coloring.palette_size,

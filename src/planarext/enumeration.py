@@ -10,10 +10,11 @@ isomorphism class. Accepted children of one parent are isomorphic iff
 their neighbour subsets share an Aut(parent) orbit, so one canonical
 search per parent, for its automorphism generators, drops the duplicates;
 the first accepted subset of each orbit is kept. Children carry no form:
-_levels computes one per graph for its sort, and the oracle only where an
-edge-count tie needs it. Planarity prunes hereditarily: the edge-count
-bound rejects during extension and the exact test runs on the distinct
-accepted children.
+_levels computes one per graph for its sort, and keeps the generators
+that the same search found for the graph's own children; the oracle
+computes forms only for its final ties. Planarity prunes hereditarily:
+the edge-count bound rejects during extension and the exact test runs on
+the distinct accepted children.
 
 The acceptance test of a child reads a record of its parent P, built once
 per parent: P's degrees, the components of P - v for each cut vertex v of
@@ -211,15 +212,16 @@ def _marked_verdict(n: int, masks: tuple[int, ...], ties: list[int]) -> bool:
 
 
 def _children(
-    n: int, masks: tuple[int, ...], deg_max: int, planar_only: bool
+    n: int, masks: tuple[int, ...], gens: list[list[int]], deg_max: int, planar_only: bool
 ) -> list[tuple[int, ...]]:
     """Accepted one-vertex extensions, one per isomorphism class.
 
-    Two accepted children are isomorphic iff their neighbour subsets lie
-    in one Aut(parent) orbit, so the first accepted subset of each orbit
+    gens generate Aut(parent), as _canonical_search gives them. Two
+    accepted children are isomorphic iff their neighbour subsets lie in
+    one Aut(parent) orbit, so the first accepted subset of each orbit
     stands for it and one search of the parent replaces a form per child.
     """
-    parent = _parent_record(n, masks, _canonical_search(n, masks)[1])
+    parent = _parent_record(n, masks, gens)
     m = sum(parent.degs) // 2
     eligible = [1 << v for v in range(n) if parent.degs[v] < deg_max]
     child_n = n + 1
@@ -240,18 +242,24 @@ def _children(
     return out
 
 
-def _levels(
-    n_max: int, deg_max: int, planar_only: bool
-) -> Iterator[list[tuple[tuple[int, ...], bytes]]]:
-    """Each order's graphs with their canonical forms, sorted by form."""
-    level: list[tuple[tuple[int, ...], bytes]] = [((0,), canonical_form_masks(1, (0,)))]
+_Level = list[tuple[tuple[int, ...], bytes, list[list[int]]]]
+
+
+def _levels(n_max: int, deg_max: int, planar_only: bool) -> Iterator[_Level]:
+    """Each order's graphs as (masks, canonical form, generators), sorted by form.
+
+    The one canonical search per graph gives both its form and the
+    generators of its automorphism group, which _children of that graph
+    needs: the next level, or an oracle subtree rooted at it, reuses them.
+    """
+    level: _Level = [((0,), *_canonical_search(1, (0,)))]
     yield level
     for _ in range(n_max - 1):
         level = sorted(
             (
-                (child, canonical_form_masks(len(child), child))
-                for masks, _form in level
-                for child in _children(len(masks), masks, deg_max, planar_only)
+                (child, *_canonical_search(len(child), child))
+                for masks, _form, gens in level
+                for child in _children(len(masks), masks, gens, deg_max, planar_only)
             ),
             key=lambda item: item[1],
         )
@@ -273,5 +281,5 @@ def enumerate_connected(
         raise ValueError("n_max must be at least 1")
     _check_budget(n_max)
     for level in _levels(n_max, deg_max, planar_only):
-        for masks, _form in level:
+        for masks, _form, _gens in level:
             yield from_masks(len(masks), masks)

@@ -4,7 +4,9 @@ The search grows an alternating BFS tree from each exposed vertex. Odd
 cycles found along the way are contracted by redirecting every cycle
 vertex to a common base, so augmenting paths through blossoms are found
 without ever materialising the contracted graph. A greedy matching seeds
-the search to keep the number of augmentation phases small.
+the search to keep the number of augmentation phases small. A maximum
+matching of the graph less its last vertex, where the caller has one,
+is a better seed: one search from that vertex then settles the graph.
 """
 
 from __future__ import annotations
@@ -39,17 +41,33 @@ class Matching:
         return len(self.pairs)
 
 
-def _mate_array(g: Graph) -> list[int]:
+def _mate_array(g: Graph, seed: list[int] | None = None) -> list[int]:
+    """A maximum matching of g: match[v] is v's mate, or -1 when v is exposed.
+
+    Without a seed, every vertex is a root: a greedy matching is grown by
+    one search from each root left exposed. A seed is a maximum matching
+    of g less its last vertex z, as such a mate array, and is not changed.
+    An augmenting path for it that missed z would augment it in g - z, so
+    every such path ends at z, and z is the one root (Edmonds, "Paths,
+    trees, and flowers", 1965).
+    """
     n = g.n
     adj = g.adj
-    match = [-1] * n
-    for v in range(n):
+    if seed is None:
+        match = [-1] * n
+        roots = range(n)
+    else:
+        match = [*seed, -1]
+        roots = range(n - 1, n)
+    for v in roots:
         if match[v] == -1:
             for w in adj[v]:
                 if match[w] == -1:
                     match[v] = w
                     match[w] = v
                     break
+    if -1 not in [match[v] for v in roots]:
+        return match
 
     # search state, kept between searches: each search records the vertices
     # it touches and resets only those, and untouched vertices have
@@ -118,7 +136,7 @@ def _mate_array(g: Graph) -> list[int]:
                     q.append(match[to])
         return False
 
-    for v in range(n):
+    for v in roots:
         if match[v] == -1:
             touched = [v]
             find_augmenting_path(v, touched)

@@ -20,14 +20,24 @@ a realizable lower bound; the verdict is
 A knapsack value exceeding the closed form would disprove it and raises
 FalsificationError rather than returning a verdict.
 
+Each mu keeps one witness, by the tie rule: most edges, then fewest
+vertices, then the smallest canonical form. Only the graphs tied on
+edges and vertices are kept, and their forms are compared once the ties
+are final: once per subtree, then once for the table. Every graph comes
+with its mu. A subtree seeds each child's maximum matching from its
+parent's, so one search from the new vertex settles it; a graph below
+the shard order gets the full matching; subtree and journal records
+arrive under their mu. The final re-check of each record, and the
+journal loader, still run the full matching.
+
 Subtrees of the generation tree are independent, so roots at a fixed
-order are sharded across workers and merged by per-mu maximum (ties to
-the smaller canonical form), making output independent of scheduling. A
-checkpoint is an append-only journal: a header line naming (d, n_max),
-then one line per finished root (its hex canonical form and its per-mu
-records), in job order, so that a rerun resumes where the last one
-stopped and any worker count writes the same bytes. Records stay Graphs
-from subtree to table: the journal loader alone reads and checks graph6.
+order are sharded across workers and merged by the same tie rule, making
+output independent of scheduling. A checkpoint is an append-only
+journal: a header line naming (d, n_max), then one line per finished
+root (its hex canonical form and its per-mu records), in job order, so
+that a rerun resumes where the last one stopped and any worker count
+writes the same bytes. Records stay Graphs from subtree to table: the
+journal loader alone reads and checks graph6.
 """
 
 from __future__ import annotations
@@ -38,11 +48,11 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .bounds import max_edges_planar
-from .canon import canonical_form
+from .canon import _canonical_search, canonical_form
 from .constructions import star
-from .enumeration import _check_budget, _children, _levels
+from .enumeration import _check_budget, _children, _Level, _levels
 from .graphs import Graph, from_masks, is_connected, max_degree
-from .matching import matching_number
+from .matching import _mate_array, matching_number
 from .planarity import is_planar
 from .serialize import graph6_decode, graph6_encode
 
@@ -80,45 +90,63 @@ class FalsificationError(RuntimeError):
         self.formula_value = formula_value
 
 
-_Best = dict[int, tuple[bytes | None, Graph]]  # mu -> (canon, witness)
+_Best = dict[int, list[Graph]]  # mu -> the graphs tied for most edges, then fewest vertices
 
 
-def _offer(best: _Best, g: Graph) -> None:
-    """File g under its matching number mu, unless mu < 1.
+def _offer(best: _Best, g: Graph, mu: int) -> None:
+    """File g, whose matching number is mu, among the ties for mu, unless mu < 1.
 
-    The smaller canonical form wins an edge-count tie. Forms are computed
-    only there, and best keeps the stored witness's form for the next tie.
+    The tie rule is most edges, then fewest vertices, then the smallest
+    canonical form. Only the first two are compared here. The first byte
+    of a form is the order, so they drop no graph that the form would
+    pick; _settle compares the forms of the graphs still tied at the end.
     """
-    mu = matching_number(g)
     if mu < 1:
         return
-    cur = best.get(mu)
-    if cur is None or g.m > cur[1].m:
-        best[mu] = (None, g)
-    elif g.m == cur[1].m:
-        cur_form, witness = cur
-        if cur_form is None:
-            cur_form = canonical_form(witness)
-            best[mu] = (cur_form, witness)
-        form = canonical_form(g)
-        if form < cur_form:
-            best[mu] = (form, g)
+    ties = best.get(mu)
+    if ties is None or (g.m, -g.n) > (ties[0].m, -ties[0].n):
+        best[mu] = [g]
+    elif (g.m, g.n) == (ties[0].m, ties[0].n):
+        ties.append(g)
 
 
-def _subtree_worker(args: tuple[tuple[int, ...], int, int]) -> dict[int, Graph]:
-    """Best witness per mu over one generation subtree (root included)."""
-    root, n_max, deg_max = args
+def _settle(best: _Best) -> dict[int, Graph]:
+    """The witness per mu: the one tied graph, or the one with the smallest form."""
+    return {
+        mu: ties[0] if len(ties) == 1 else min(ties, key=canonical_form)
+        for mu, ties in best.items()
+    }
+
+
+def _subtree_worker(
+    args: tuple[tuple[int, ...], int, int, list[list[int]]],
+) -> dict[int, Graph]:
+    """Best witness per mu over one generation subtree (root included).
+
+    args are the root's masks, n_max, deg_max and the generators of
+    Aut(root) from the search that gave the root its form. Each node's
+    maximum matching stays on the stack and seeds its children's, and a
+    node below the root gets its one canonical search, for the generators
+    its children need, only when it has children to make.
+    """
+    root, n_max, deg_max, gens = args
     best: _Best = {}
-    _offer(best, from_masks(len(root), root))
-    stack = [root]
+    g = from_masks(len(root), root)
+    match = _mate_array(g)
+    _offer(best, g, (g.n - match.count(-1)) // 2)
+    stack = [(root, gens, match)]
     while stack:
-        masks = stack.pop()
+        masks, gens, match = stack.pop()
         n = len(masks)
-        if n < n_max:
-            for child in _children(n, masks, deg_max, True):
-                _offer(best, from_masks(n + 1, child))
-                stack.append(child)
-    return {mu: g for mu, (_form, g) in best.items()}
+        if gens is None:
+            gens = _canonical_search(n, masks)[1]
+        for child in _children(n, masks, gens, deg_max, True):
+            g = from_masks(n + 1, child)
+            child_match = _mate_array(g, match)
+            _offer(best, g, (n + 1 - child_match.count(-1)) // 2)
+            if n + 1 < n_max:
+                stack.append((child, None, child_match))
+    return _settle(best)
 
 
 def _class_fault(g: Graph, d: int) -> str | None:
@@ -264,21 +292,22 @@ def component_table(
     deg_max = d - 1
     best: _Best = {}
     shard_order = min(_SHARD_ORDER, n_max)
-    roots: list[tuple[tuple[int, ...], bytes]] = []
+    roots: _Level = []
     for order, level in enumerate(_levels(shard_order, deg_max, True), start=1):
         if n_max > shard_order and order == shard_order:
             roots = level
         else:
-            for masks, _form in level:
-                _offer(best, from_masks(len(masks), masks))
+            for masks, _form, _gens in level:
+                g = from_masks(len(masks), masks)
+                _offer(best, g, matching_number(g))
     if roots:
-        names = [form.hex() for _masks, form in roots]
+        names = [form.hex() for _masks, form, _gens in roots]
         done = _load_checkpoint(checkpoint, d, n_max, set(names)) if checkpoint else {}
         for records in done.values():
-            for g in records.values():
-                _offer(best, g)
+            for mu, g in records.items():
+                _offer(best, g, mu)
         todo = [i for i, name in enumerate(names) if name not in done]
-        jobs = [(roots[i][0], n_max, deg_max) for i in todo]
+        jobs = [(roots[i][0], n_max, deg_max, roots[i][2]) for i in todo]
         pool = nullcontext()
         if workers > 1 and len(jobs) > 1:
             # imported here so that importing the package stays cheap
@@ -291,13 +320,12 @@ def component_table(
             for i, result in zip(todo, run(_subtree_worker, jobs)):
                 if checkpoint:
                     _save_checkpoint(checkpoint, d, n_max, names[i], result)
-                for g in result.values():
-                    _offer(best, g)
+                for mu, g in result.items():
+                    _offer(best, g, mu)
     if d > n_max:
-        _offer(best, star(d - 1))
+        _offer(best, star(d - 1), 1)
     records = []
-    for mu in sorted(best):
-        _form, witness = best[mu]
+    for mu, witness in sorted(_settle(best).items()):
         if matching_number(witness) != mu:
             raise AssertionError(f"witness for mu={mu}: wrong matching number")
         if fault := _class_fault(witness, d):

@@ -31,7 +31,9 @@ finished union; the verdict solves a fresh knapsack for every mu it
 checks for domination, against a component cap written out from the
 rule in the oracle's docstring; and the Kuratowski classifier rebuilds
 the core of a witness and compares its canonical form with those of K5
-and K3,3.
+and K3,3. The component table's witnesses follow from the tie rule's
+definition: all graphs enumerated at once, and per matching number the
+smallest canonical form among those with the most edges.
 
 Package functions a reference reuses, beyond the Graph type's own
 accessors, each tested on its own:
@@ -41,9 +43,10 @@ classifier; component_counts in the face count; is_planar,
 matching_number, graph6_encode and max_edges_planar in the certificate;
 max_edges_planar, max_edges_general, build_graph, disjoint_union,
 complete, k_prime, star and atlas in the extremal families; build_graph
-in the graph6 decoder and the Kuratowski classifier; and component_table
-and max_edges_planar in the verdict. Nothing here imports a private
-package name.
+in the graph6 decoder and the Kuratowski classifier; component_table
+and max_edges_planar in the verdict; and enumerate_connected,
+matching_number, canonical_form and star in the component witnesses.
+Nothing here imports a private package name.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from planarext import Graph
 from planarext.bounds import max_edges_general, max_edges_planar
 from planarext.canon import canonical_form, canonical_form_masks
 from planarext.constructions import AtlasName, atlas, complete, k_prime, star
+from planarext.enumeration import enumerate_connected
 from planarext.graphs import build_graph, component_counts, disjoint_union
 from planarext.matching import matching_number
 from planarext.oracle import (
@@ -956,6 +960,32 @@ def reference_verify_theorem(
         if cap > reference_combine(exhaustive_records, mu + 1):
             return Verdict("realizable-only", oracle_value, formula_value)
     return Verdict("confirmed", oracle_value, formula_value)
+
+
+# The component table's witnesses from the tie rule's definition, with
+# no subtrees, journals or per-subtree settling.
+
+
+def reference_component_witnesses(d: int, n_max: int) -> dict[int, Graph]:
+    """Witness per matching number mu >= 1 of component_table(d, n_max).
+
+    The candidates are the connected planar graphs with max degree below d
+    on at most n_max vertices, plus the (d-1)-star when its d vertices
+    exceed n_max. Among those with matching number mu, the witness has the
+    most edges, and then the smallest canonical form.
+    """
+    candidates = list(enumerate_connected(n_max, d - 1, True))
+    if d > n_max:
+        candidates.append(star(d - 1))
+    by_mu: dict[int, list[Graph]] = {}
+    for g in candidates:
+        by_mu.setdefault(matching_number(g), []).append(g)
+    witnesses = {}
+    for mu, graphs in by_mu.items():
+        if mu >= 1:
+            top = max(g.m for g in graphs)
+            witnesses[mu] = min((g for g in graphs if g.m == top), key=canonical_form)
+    return witnesses
 
 
 # The Kuratowski classifier as the package had it before it read the type

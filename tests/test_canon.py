@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 
@@ -156,3 +157,16 @@ def test_search_generates_the_automorphism_group():
             for perm in gens:
                 assert _relabel(masks, perm) == masks
             assert _group_order(n, gens) == brute_automorphism_count(n, masks)
+
+
+def test_canonical_search_leaves_no_reference_cycle():
+    # the search state is freed by reference counting, not left to the
+    # cyclic garbage collector
+    g = build_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 1)])
+    gc.collect()
+    gc.disable()
+    try:
+        canonical_form(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

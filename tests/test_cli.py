@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import resource
@@ -128,6 +129,37 @@ def test_color_command(capsys):
         for end in (row["u"], row["v"]):
             assert row["color"] not in seen_at.setdefault(end, set())
             seen_at[end].add(row["color"])
+
+
+@pytest.mark.parametrize("command", [["check", "--d", "6", "--nu", "6"], ["color"]])
+def test_dash_reads_graph6_from_stdin(monkeypatch, capsys, command):
+    # "-" is never graph6, so it names standard input; the output is the
+    # argument form's, byte for byte, and a trailing newline is allowed
+    a5 = graph6_encode(atlas("A5"))
+    name, *options = command
+    code, expected, _ = run(capsys, name, a5, *options)
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(a5 + "\n"))
+    assert run(capsys, name, "-", *options) == (0, expected, "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert run(capsys, name, "-", *options) == (1, "", "planarext: error: empty graph6 string\n")
+
+
+def test_construct_piped_into_check_beyond_the_argument_limit():
+    # 383,244 bytes of graph6: more than Linux takes as one argument word
+    src = str(Path(planarext.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    cli_cmd = [sys.executable, "-m", "planarext.cli"]
+    g6 = subprocess.run(
+        cli_cmd + ["construct", "6", "1000"], env=env, capture_output=True, check=True, timeout=60
+    ).stdout
+    assert len(g6.strip()) == 383244 > 131072
+    proc = subprocess.run(
+        cli_cmd + ["check", "-", "--d", "6", "--nu", "1000"],
+        env=env, input=g6, capture_output=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout)["tight"] is True
 
 
 def test_realize_command(capsys):

@@ -157,9 +157,9 @@ def test_children_match_form_dedup_reference(n_max, deg_max, planar_only):
     # orbit dedup keeps the same representative of each class as dropping
     # children by canonical form, so the masks, not just the forms, agree
     for level in enumeration._levels(n_max, deg_max, planar_only):
-        for masks, _form in level:
+        for masks, _form, gens in level:
             n = len(masks)
-            got = enumeration._children(n, masks, deg_max, planar_only)
+            got = enumeration._children(n, masks, gens, deg_max, planar_only)
             forms = [canonical_form_masks(n + 1, child) for child in got]
             assert len(set(forms)) == len(forms), masks
             expected = reference_children(n, masks, deg_max, planar_only)

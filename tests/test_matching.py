@@ -17,7 +17,9 @@ from planarext import (
     pivotal_planar,
     star,
 )
-from planarext.graphs import disjoint_union, from_masks
+from planarext.enumeration import enumerate_connected
+from planarext.graphs import disjoint_union, from_masks, induced_subgraph
+from planarext.matching import _mate_array
 
 from oracles import brute_matching_number
 
@@ -169,3 +171,68 @@ def test_extremal_families_have_matching_number_nu_minus_one():
         for nu in range(2, 41):
             assert matching_number(pivotal_planar(d, nu)) == nu - 1
             assert matching_number(extremal_general(d, nu)) == nu - 1
+
+
+def _mate_size(g, match: list[int]) -> int:
+    """The size of the matching that the mate array match gives, checked in g."""
+    assert len(match) == g.n
+    assert all(w == -1 or match[w] == v for v, w in enumerate(match))
+    return Matching(g, tuple((v, w) for v, w in enumerate(match) if w > v)).size
+
+
+def _maximum_matchings(g) -> list[list[int]]:
+    """Every maximum matching of g as a mate array, by brute force."""
+    found: list[list[int]] = []
+    edges = g.edges()
+
+    def extend(i: int, match: list[int]) -> None:
+        if i == len(edges):
+            found.append(list(match))
+            return
+        extend(i + 1, match)
+        u, v = edges[i]
+        if match[u] == match[v] == -1:
+            match[u], match[v] = v, u
+            extend(i + 1, match)
+            match[u] = match[v] = -1
+
+    extend(0, [-1] * g.n)
+    best = max(_mate_size(g, m) for m in found)
+    return [m for m in found if _mate_size(g, m) == best]
+
+
+def _seeded_graphs():
+    yield from enumerate_connected(8, 5, True)
+    yield from enumerate_connected(7, 7, True)
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        yield _random_graph(rng, rng.randint(1, 12), 30)
+
+
+def test_seeded_matching_is_maximum():
+    # seeded with a maximum matching of g less its last vertex, the one
+    # search from that vertex must reach the matching number of g; below
+    # nine vertices, with every such seed
+    for g in _seeded_graphs():
+        parent = induced_subgraph(g, range(g.n - 1))
+        want = matching_number(g)
+        seeds = _maximum_matchings(parent) if g.n <= 8 else [_mate_array(parent)]
+        for seed in seeds:
+            copy = list(seed)
+            assert _mate_size(g, _mate_array(g, seed)) == want, (g, seed)
+            assert seed == copy
+
+
+def test_seeded_matching_augments_through_a_blossom():
+    # g - 7 is matched by 0-1, 2-3, 4-5, leaving 6 exposed. The one
+    # augmenting path from 7 is 7 0 1 5 4 3 2 6: it enters the 5-cycle
+    # 1 2 3 4 5 at its base 1 and leaves from 2, which a search that never
+    # contracts the cycle labels odd and so never leaves from
+    g = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (2, 6), (7, 0)])
+    seed = [1, 0, 3, 2, 5, 4, -1]
+    assert _mate_size(induced_subgraph(g, range(7)), seed) == brute_matching_number(
+        induced_subgraph(g, range(7))
+    )
+    match = _mate_array(g, seed)
+    assert _mate_size(g, match) == 4 == brute_matching_number(g)
+    assert match == [7, 5, 6, 4, 3, 1, 2, 0]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,7 @@ from planarext import (
 from planarext import oracle
 from planarext.oracle import _component_cap
 
-from oracles import reference_verify_theorem
+from oracles import reference_component_witnesses, reference_verify_theorem
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -399,3 +401,51 @@ def test_table_cache_survives_caller_mutation():
     first.clear()
     assert component_table(4, 5) == expected
     assert verify_theorem(4, 3, 5) == verdict
+
+
+@pytest.mark.parametrize("d,n_max", [(d, 7) for d in range(3, 9)] + [(6, 8)])
+def test_witnesses_follow_the_tie_rule(monkeypatch, d, n_max):
+    # settling ties per subtree and then per table picks the graph that one
+    # pass over every enumerated graph picks, labels included
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    table = component_table(d, n_max)
+    assert {rec.mu: rec.witness for rec in table} == reference_component_witnesses(d, n_max)
+
+
+def _count_calls(monkeypatch, counts: Counter, fn, key) -> None:
+    """Count fn's calls under key(args), in every planarext module that binds fn."""
+
+    def counted(*args):
+        counts[key(args)] += 1
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "planarext" or name.startswith("planarext."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+def test_component_table_work_counts(monkeypatch):
+    # one canonical search per level graph (its form and generators), per
+    # parent below the roots, per marked form and per settled tie; a full
+    # matching only for the 30 graphs below the shard order, the 99 roots
+    # and the 4 final checks, every other graph seeded from its parent's
+    from planarext import canon, enumeration, graphs, matching, planarity
+
+    counts: Counter = Counter()
+    _count_calls(monkeypatch, counts, canon._canonical_search, lambda args: "search")
+    _count_calls(
+        monkeypatch, counts, matching._mate_array,
+        lambda args: "seeded" if len(args) > 1 and args[1] is not None else "full",
+    )
+    _count_calls(monkeypatch, counts, enumeration._accepts_new_vertex, lambda args: "accept")
+    _count_calls(monkeypatch, counts, planarity._decide, lambda args: "decide")
+    _count_calls(monkeypatch, counts, graphs.from_masks, lambda args: "from_masks")
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    component_table(6, 8)
+    assert counts["search"] <= 5950
+    assert counts["full"] == 30 + 99 + 4
+    # one matching per enumerated graph, plus the final checks
+    assert counts["full"] + counts["seeded"] == 5018 + 4
+    assert (counts["accept"], counts["decide"], counts["from_masks"]) == (56929, 6945, 5018)

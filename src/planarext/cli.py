@@ -202,7 +202,6 @@ def _run(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
         return 0
 
-    assert args.command == "realize"
     degrees = _parse_degree_tokens(args.degrees)
     result = realize_degree_sequence_planar(degrees, budget=args.timeout)
     payload = {

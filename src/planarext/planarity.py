@@ -14,7 +14,6 @@ Disconnected input is handled per component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 from .graphs import Graph, bits, component_counts
@@ -55,34 +54,20 @@ class _LRTest:
     """
 
     def __init__(self, n: int, adj):
+        """Phase 1, orientation: DFS, low points and the nesting order."""
         self.n = n
-        self.adj = adj
         m = sum(map(len, adj)) // 2
-        self.height = [-1] * n
-        self.parent_edge = [-1] * n
-        self.out_edges: list[list[int]] = [[] for _ in range(n)]
-        self.ordered_adjs: list[list[int]] = []
+        self.height = height = [-1] * n
+        self.parent_edge = parent_edge = [-1] * n
+        self.out_edges = out_edges = [[] for _ in range(n)]
         self.roots: list[int] = []
-        self.src = [0] * m
-        self.dst = [0] * m
-        self.lowpt = [0] * m
-        self.lowpt2 = [0] * m
-        self.nesting_depth = [0] * m
-        # testing state
-        self.S: list[list[int]] = []
-        self.stack_bottom: list[list[int] | None] = [None] * m
-        self.lowpt_edge = [-1] * m
-        self.ref = [-1] * m
-        self.side = [1] * m
-
-    # ---- phase 1: orientation ----
-
-    def orient(self) -> None:
-        adj, height, parent_edge = self.adj, self.height, self.parent_edge
-        out_edges, src, dst = self.out_edges, self.src, self.dst
-        lowpt, lowpt2, nesting = self.lowpt, self.lowpt2, self.nesting_depth
+        self.src = src = [0] * m
+        self.dst = dst = [0] * m
+        self.lowpt = lowpt = [0] * m
+        lowpt2 = [0] * m
+        self.nesting_depth = nesting = [0] * m
         e = 0
-        for root in range(self.n):
+        for root in range(n):
             if height[root] >= 0:
                 continue
             self.roots.append(root)
@@ -126,6 +111,12 @@ class _LRTest:
                         _merge_lowpts(lowpt, lowpt2, parent_edge[u], ep)
         key = nesting.__getitem__
         self.ordered_adjs = [sorted(out, key=key) for out in out_edges]
+        # testing state
+        self.S: list[list[int]] = []
+        self.stack_bottom: list[list[int] | None] = [None] * m
+        self.lowpt_edge = [-1] * m
+        self.ref = [-1] * m
+        self.side = [1] * m
 
     # ---- phase 2: testing ----
 
@@ -152,7 +143,16 @@ class _LRTest:
                 ref[q[2]] = self.lowpt_edge[e]
             if (S[-1] if S else None) is bottom:
                 break
-        # merge conflicting return edges of earlier siblings into p.left
+        # merge conflicting return edges of earlier siblings into p.left.
+        # p.right is not empty when this loop pops (so ref[p[2]] is safe,
+        # as in Brandes's pseudocode). By induction, a done child edge c
+        # holds lowpt_edge[c] alone in its lowest pair, its only edge
+        # returning to lowpt(c): later siblings on c's lowpt chain align
+        # their own such edge and stop at that pair, which cannot conflict.
+        # So alignment drops only lone edges, each tied to one at its
+        # height, and an empty p.right means ei returns below v only to
+        # lowpt(e). By the nesting order no earlier sibling is chordal
+        # then: each left a lone pair at lowpt(e), which cannot conflict.
         low_ei = lowpt[ei]
         while S:
             q = S[-1]
@@ -164,10 +164,7 @@ class _LRTest:
                 if q[1] >= 0 and lowpt[q[1]] > low_ei:
                     return False
                 q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
-            if p[2] >= 0:
-                ref[p[2]] = q[3]
-            else:
-                p[3] = q[3]
+            ref[p[2]] = q[3]
             if q[2] >= 0:
                 p[2] = q[2]
             if p[0] < 0:
@@ -214,8 +211,8 @@ class _LRTest:
                 side[p[2]] = -1
                 p[2] = -1
         if lowpt[e] < hu:
-            # e has a return edge; its side follows the highest one left
-            hl, hr = (S[-1][1], S[-1][3]) if S else (-1, -1)
+            # e has a return edge (S holds e's lowest pair); its side follows the highest one left
+            hl, hr = S[-1][1], S[-1][3]
             if hl >= 0 and (hr < 0 or lowpt[hl] > lowpt[hr]):
                 ref[e] = hl
             else:
@@ -316,16 +313,12 @@ def _decide(n: int, masks: Sequence[int]) -> bool:
     masks[v] has bit w set iff v~w; only the first n entries are read.
     A subdivision of K3,3 needs 6 branch vertices of degree >= 3 and one
     of K5 needs 5 of degree >= 4, so with fewer of either the graph is
-    planar by Kuratowski's theorem and the LR test is skipped.
+    planar by Kuratowski's theorem; the LR test decides everything else.
     """
     degs = [masks[v].bit_count() for v in range(n)]
     if sum(d >= 3 for d in degs) < 6 and sum(d >= 4 for d in degs) < 5:
         return True
-    if sum(degs) // 2 > 3 * n - 6:
-        return False
-    lr = _LRTest(n, [bits(masks[v]) for v in range(n)])
-    lr.orient()
-    return lr.test()
+    return _LRTest(n, [bits(masks[v]) for v in range(n)]).test()
 
 
 def _minimize_witness(g: Graph) -> tuple[tuple[int, int], ...]:
@@ -409,14 +402,22 @@ def face_count(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> int:
     is the per-component face total minus (components - 1). The empty
     graph has one face, the whole plane.
     """
-    # dart i of v, from v to embedding[v][i], has the flat id first[v] + i
-    first = list(accumulate(map(len, embedding), initial=0))
-    succ = [0] * first[-1]
+    # v's darts, to embedding[v][0], embedding[v][1], ..., get consecutive ids
+    dart: dict[tuple[int, int], int] = {}
     for v, rot in enumerate(embedding):
-        base, k = first[v], len(rot)
+        for u in rot:
+            dart[v, u] = len(dart)
+    succ = [0] * len(dart)
+    base = 0
+    for v, rot in enumerate(embedding):
+        k = len(rot)
         for i, u in enumerate(rot, 1):
             # a face turns from the dart u -> v onto the next dart around v
-            succ[first[u] + embedding[u].index(v)] = base + (i if i < k else 0)
+            try:
+                succ[dart[u, v]] = base + i % k
+            except KeyError:
+                raise ValueError(f"{u} is around {v} but {v} is not around {u}") from None
+        base += k
     faces = 0
     for start in range(len(succ)):
         if succ[start] < 0:
@@ -440,7 +441,6 @@ def euler_identity_holds(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> bo
 def is_planar(g: Graph) -> PlanarityResult:
     """Full planarity test: embedding when planar, Kuratowski witness when not."""
     lr = _LRTest(g.n, g.adj)
-    lr.orient()
     if not lr.test():
         witness = _minimize_witness(g)
         classify_kuratowski(witness)  # raises ValueError unless K5 or K3,3

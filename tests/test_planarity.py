@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import os
 import random
@@ -347,6 +348,29 @@ def test_face_count_matches_dict_tracer_on_any_rotation_system():
             assert face_count(g, emb) == reference_face_count(g, emb)
 
 
+class _NoIndex(tuple):
+    """A rotation row that cannot be searched: face tracing must not scan rows."""
+
+    def index(self, *args):
+        raise AssertionError("face_count scanned a rotation row")
+
+
+@pytest.mark.parametrize("k", [3, 50, 2000, 20000])
+def test_face_count_on_wheels_reads_each_rotation_once(k):
+    # the wheel W_k, rim 0..k-1 and hub k, has k + 1 faces; the hub's
+    # rotation holds k darts, so a per-dart row scan would be quadratic
+    g = build_graph(k + 1, [(i, (i + 1) % k) for i in range(k)] + [(i, k) for i in range(k)])
+    embedding = tuple(map(_NoIndex, is_planar(g).embedding))
+    assert face_count(g, embedding) == reference_face_count(g, embedding) == k + 1
+
+
+def test_face_count_refuses_a_one_sided_rotation_system():
+    g = build_graph(3, [(0, 1), (1, 2)])
+    for embedding in (((1,), (2,), (1,)), tuple(map(_NoIndex, ((1,), (0, 2), ())))):
+        with pytest.raises(ValueError):
+            face_count(g, embedding)
+
+
 def test_euler_reject_only_rejects_dense():
     assert euler_reject(complete(5))
     assert not euler_reject(complete(4))
@@ -447,3 +471,12 @@ def test_certify_checks_survive_optimize():
         "chromatic_index_exact",
         "certificate",
     ]
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so no check may be one
+    package = Path(planarext.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert on lines {lines}"

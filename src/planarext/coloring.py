@@ -1,12 +1,13 @@
 """Proper edge colorings: constructive Δ+1 coloring and an exact solver.
 
-vizing_color implements the fan-rotation method: extend a maximal fan
-from one endpoint of the uncolored edge, invert an alternating two-color
-path to free a shared color, then rotate a fan prefix. It always lands
-within Δ+1 colors. chromatic_index_exact settles Δ vs Δ+1 for small
-instances by branch and bound, and partition_bound_check applies the
-edge-count certificate: more than Δ·ν edges cannot be partitioned into
-Δ matchings.
+vizing_color implements the fan-rotation method (Misra & Gries, "A
+constructive proof of Vizing's theorem", IPL 41, 1992): extend a maximal
+fan from one endpoint of the uncolored edge, invert an alternating
+two-color path to free a shared color, then rotate a fan prefix. It
+always lands within Δ+1 colors. chromatic_index_exact settles Δ vs Δ+1
+for small instances by branch and bound, and partition_bound_check
+applies the edge-count certificate: more than Δ·ν edges cannot be
+partitioned into Δ matchings.
 """
 
 from __future__ import annotations
@@ -66,22 +67,17 @@ def vizing_color(g: Graph) -> EdgeColoring:
         at[b][c] = a
 
     for u, v in g.edges():
-        # maximal fan of u starting at v
+        # maximal fan of u starting at v: each step takes the first of u's
+        # colored edges, in row order, whose color is free at the fan's end
+        rest = [(color[key(u, w)], w) for w in g.adj[u] if key(u, w) in color]
         fan = [v]
-        fan_set = {v}
-        grown = True
-        while grown:
-            grown = False
-            last = fan[-1]
-            for w in g.adj[u]:
-                if w in fan_set:
-                    continue
-                cw = color.get(key(u, w))
-                if cw is not None and cw not in at[last]:
-                    fan.append(w)
-                    fan_set.add(w)
-                    grown = True
+        while True:
+            for i, (cw, _) in enumerate(rest):
+                if cw not in at[fan[-1]]:
+                    fan.append(rest.pop(i)[1])
                     break
+            else:
+                break
         c = free(u)
         d = free(fan[-1])
         # walk the alternating c/d path from u, then flip it

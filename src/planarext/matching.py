@@ -1,9 +1,10 @@
 """Maximum matching via blossom contraction, plus factor-criticality.
 
 The search grows an alternating BFS tree from each exposed vertex. Odd
-cycles found along the way are contracted by redirecting every cycle
-vertex to a common base, so augmenting paths through blossoms are found
-without ever materialising the contracted graph. A greedy matching seeds
+cycles found along the way are contracted by linking the cycle's
+vertices to a common base in a union-find (Tarjan, "Data Structures and
+Network Algorithms", 1983, ch. 9), so augmenting paths through blossoms
+are found without ever materialising the contracted graph. A greedy matching seeds
 the search to keep the number of augmentation phases small. A maximum
 matching of the graph less its last vertex, where the caller has one,
 is a better seed: one search from that vertex then settles the graph.
@@ -70,54 +71,57 @@ def _mate_array(g: Graph, seed: list[int] | None = None) -> list[int]:
         return match
 
     # search state, kept between searches: each search records the vertices
-    # it touches and resets only those, and untouched vertices have
-    # base[i] == i, so they never lie in a blossom
-    base = list(range(n))
+    # it touches and resets only those. A contracted blossom's vertices are
+    # linked in the union-find up, whose roots are the blossom bases
+    up = list(range(n))
     p = [-1] * n
-    used = [False] * n
+
+    def base(v: int) -> int:
+        while up[v] != v:
+            up[v] = up[up[v]]
+            v = up[v]
+        return v
 
     def lca(a: int, b: int) -> int:
         path = set()
         while True:
-            a = base[a]
+            a = base(a)
             path.add(a)
             if match[a] == -1:
                 break
             a = p[match[a]]
         while True:
-            b = base[b]
+            b = base(b)
             if b in path:
                 return b
             b = p[match[b]]
 
-    def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
-        while base[v] != b:
-            blossom.add(base[v])
-            blossom.add(base[match[v]])
+    def mark_path(v: int, b: int, child: int, q: deque[int]) -> None:
+        # v is even. Linking base(v) rather than v would end the walk at an
+        # inner blossom's base before it set that blossom's p links. A mate
+        # that is its own base is odd, and the blossom makes it even
+        while base(v) != b:
             p[v] = child
             child = match[v]
-            v = p[match[v]]
+            if up[v] == v:
+                up[v] = b
+            if up[child] == child:
+                up[child] = b
+                q.append(child)
+            v = p[child]
 
     def find_augmenting_path(root: int, touched: list[int]) -> bool:
-        used[root] = True
         q = deque([root])
         while q:
             v = q.popleft()
             for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
+                if match[v] == to or base(v) == base(to):
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
                     # odd cycle: contract the blossom to its base
                     curbase = lca(v, to)
-                    blossom: set[int] = set()
-                    mark_path(v, curbase, to, blossom)
-                    mark_path(to, curbase, v, blossom)
-                    # ascending order, so the queue grows as in a full scan
-                    for i in sorted(i for i in touched if base[i] in blossom):
-                        base[i] = curbase
-                        if not used[i]:
-                            used[i] = True
-                            q.append(i)
+                    mark_path(v, curbase, to, q)
+                    mark_path(to, curbase, v, q)
                 elif p[to] == -1:
                     p[to] = v
                     touched.append(to)
@@ -131,7 +135,6 @@ def _mate_array(g: Graph, seed: list[int] | None = None) -> list[int]:
                             match[pv] = u
                             u = ppv
                         return True
-                    used[match[to]] = True
                     touched.append(match[to])
                     q.append(match[to])
         return False
@@ -142,8 +145,7 @@ def _mate_array(g: Graph, seed: list[int] | None = None) -> list[int]:
             find_augmenting_path(v, touched)
             for i in touched:
                 p[i] = -1
-                base[i] = i
-                used[i] = False
+                up[i] = i
     return match
 
 

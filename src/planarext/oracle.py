@@ -54,7 +54,7 @@ from .enumeration import _check_budget, _children, _Level, _levels
 from .graphs import Graph, from_masks, is_connected, max_degree
 from .matching import _mate_array, matching_number
 from .planarity import is_planar
-from .serialize import graph6_decode, graph6_encode
+from .serialize import _G6_MAX_ORDER, graph6_decode, graph6_encode
 
 _SHARD_ORDER = 6
 
@@ -285,6 +285,9 @@ def component_table(
         raise ValueError("n_max must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if d > _G6_MAX_ORDER:
+        # the injected star K_{1,d-1} has d vertices, too many for graph6
+        raise ValueError(f"at most {_G6_MAX_ORDER} vertices, the star witness has {d}")
     _check_budget(n_max)
     key = (d, n_max)
     if key in _TABLE_CACHE:

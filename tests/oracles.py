@@ -21,9 +21,12 @@ earlier kernel, keyed by (v, w) edge tuples and interval objects; the
 array-indexed kernel must reproduce its verdicts, rotation systems and
 witnesses, and it is the only fast planarity reference beyond n <= 7.
 
-The other references are the package's earlier code: the face count
-walks a dict over all darts with a seen set; the Erdős–Gallai residual
-check is quadratic and the group selections of realize an eager list;
+The other references are the package's earlier code: the mate array
+contracts each blossom by rescanning every vertex its search touched;
+the Vizing coloring restarts its scan of u's row at every fan step; the
+face count walks a dict over all darts with a seen set; the Erdős–Gallai
+residual check is quadratic and the group selections of realize an
+eager list;
 the certificate runs planarity and blossom once over the whole graph
 instead of once per distinct component; the extremal families build
 every component type, used or not, and learn the order only from the
@@ -43,8 +46,9 @@ classifier; component_counts in the face count; is_planar,
 matching_number, graph6_encode and max_edges_planar in the certificate;
 max_edges_planar, max_edges_general, build_graph, disjoint_union,
 complete, k_prime, star and atlas in the extremal families; build_graph
-in the graph6 decoder and the Kuratowski classifier; component_table
-and max_edges_planar in the verdict; and enumerate_connected,
+in the graph6 decoder and the Kuratowski classifier; max_degree and
+EdgeColoring in the Vizing coloring; component_table and
+max_edges_planar in the verdict; and enumerate_connected,
 matching_number, canonical_form and star in the component witnesses.
 Nothing here imports a private package name.
 """
@@ -52,14 +56,15 @@ Nothing here imports a private package name.
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import combinations, permutations
 
-from planarext import Graph
+from planarext import EdgeColoring, Graph
 from planarext.bounds import max_edges_general, max_edges_planar
 from planarext.canon import canonical_form, canonical_form_masks
 from planarext.constructions import AtlasName, atlas, complete, k_prime, star
 from planarext.enumeration import enumerate_connected
-from planarext.graphs import build_graph, component_counts, disjoint_union
+from planarext.graphs import build_graph, component_counts, disjoint_union, max_degree
 from planarext.matching import matching_number
 from planarext.oracle import (
     ComponentRecord,
@@ -120,6 +125,190 @@ def brute_matching_number(g: Graph) -> int:
         return score
 
     return best(0, 0)
+
+
+def reference_mate_array(g: Graph, seed: list[int] | None = None) -> list[int]:
+    """A maximum matching of g: match[v] is v's mate, or -1 when v is exposed.
+
+    Without a seed, every vertex is a root: a greedy matching is grown by
+    one search from each root left exposed. A seed is a maximum matching
+    of g less its last vertex z, as such a mate array, and is not changed.
+    An augmenting path for it that missed z would augment it in g - z, so
+    every such path ends at z, and z is the one root (Edmonds, "Paths,
+    trees, and flowers", 1965).
+    """
+    n = g.n
+    adj = g.adj
+    if seed is None:
+        match = [-1] * n
+        roots = range(n)
+    else:
+        match = [*seed, -1]
+        roots = range(n - 1, n)
+    for v in roots:
+        if match[v] == -1:
+            for w in adj[v]:
+                if match[w] == -1:
+                    match[v] = w
+                    match[w] = v
+                    break
+    if -1 not in [match[v] for v in roots]:
+        return match
+
+    # search state, kept between searches: each search records the vertices
+    # it touches and resets only those, and untouched vertices have
+    # base[i] == i, so they never lie in a blossom
+    base = list(range(n))
+    p = [-1] * n
+    used = [False] * n
+
+    def lca(a: int, b: int) -> int:
+        path = set()
+        while True:
+            a = base[a]
+            path.add(a)
+            if match[a] == -1:
+                break
+            a = p[match[a]]
+        while True:
+            b = base[b]
+            if b in path:
+                return b
+            b = p[match[b]]
+
+    def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
+        while base[v] != b:
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
+            p[v] = child
+            child = match[v]
+            v = p[match[v]]
+
+    def find_augmenting_path(root: int, touched: list[int]) -> bool:
+        used[root] = True
+        q = deque([root])
+        while q:
+            v = q.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and p[match[to]] != -1):
+                    # odd cycle: contract the blossom to its base
+                    curbase = lca(v, to)
+                    blossom: set[int] = set()
+                    mark_path(v, curbase, to, blossom)
+                    mark_path(to, curbase, v, blossom)
+                    # ascending order, so the queue grows as in a full scan
+                    for i in sorted(i for i in touched if base[i] in blossom):
+                        base[i] = curbase
+                        if not used[i]:
+                            used[i] = True
+                            q.append(i)
+                elif p[to] == -1:
+                    p[to] = v
+                    touched.append(to)
+                    if match[to] == -1:
+                        # found an exposed vertex: augment along the path
+                        u = to
+                        while u != -1:
+                            pv = p[u]
+                            ppv = match[pv]
+                            match[u] = pv
+                            match[pv] = u
+                            u = ppv
+                        return True
+                    used[match[to]] = True
+                    touched.append(match[to])
+                    q.append(match[to])
+        return False
+
+    for v in roots:
+        if match[v] == -1:
+            touched = [v]
+            find_augmenting_path(v, touched)
+            for i in touched:
+                p[i] = -1
+                base[i] = i
+                used[i] = False
+    return match
+
+
+def reference_vizing_color(g: Graph) -> EdgeColoring:
+    """Proper edge coloring with at most Δ+1 colors (exactly Δ colors often)."""
+    delta = max_degree(g)
+    color: dict[tuple[int, int], int] = {}
+    at: list[dict[int, int]] = [dict() for _ in range(g.n)]  # vertex -> color -> mate
+
+    def free(v: int) -> int:
+        c = 0
+        while c in at[v]:
+            c += 1
+        return c
+
+    def key(a: int, b: int) -> tuple[int, int]:
+        return (a, b) if a < b else (b, a)
+
+    def assign(a: int, b: int, c: int) -> None:  # callers uncolor the edge first
+        color[key(a, b)] = c
+        at[a][c] = b
+        at[b][c] = a
+
+    for u, v in g.edges():
+        # maximal fan of u starting at v
+        fan = [v]
+        fan_set = {v}
+        grown = True
+        while grown:
+            grown = False
+            last = fan[-1]
+            for w in g.adj[u]:
+                if w in fan_set:
+                    continue
+                cw = color.get(key(u, w))
+                if cw is not None and cw not in at[last]:
+                    fan.append(w)
+                    fan_set.add(w)
+                    grown = True
+                    break
+        c = free(u)
+        d = free(fan[-1])
+        # walk the alternating c/d path from u, then flip it
+        path: list[tuple[int, int, int]] = []
+        x, col = u, d
+        while col in at[x]:
+            w = at[x][col]
+            path.append((x, w, col))
+            x, col = w, (c if col == d else d)
+        for a, b, old in path:
+            del at[a][old]
+            del at[b][old]
+            del color[key(a, b)]
+        for a, b, old in path:
+            assign(a, b, c if old == d else d)
+        if d in at[u]:
+            raise AssertionError(f"color {d} still used at {u} after the path flip")
+        # first fan vertex where d is free; the flip leaves the fan up to it a fan
+        j = None
+        for i, w in enumerate(fan):
+            if d not in at[w]:
+                j = i
+                break
+        if j is None:
+            raise AssertionError("fan rotation target must exist")
+        shift = [color[key(u, fan[i + 1])] for i in range(j)]
+        for i in range(j):
+            # uncolor before reassigning; shifting in place would clobber at[u]
+            del color[key(u, fan[i + 1])]
+            del at[u][shift[i]]
+            del at[fan[i + 1]][shift[i]]
+        for i in range(j):
+            assign(u, fan[i], shift[i])
+        assign(u, fan[j], d)
+
+    palette = max(color.values(), default=-1) + 1
+    if palette > delta + 1:
+        raise AssertionError(f"{palette} colors exceed Δ+1 = {delta + 1}")
+    return EdgeColoring(g, color, palette)
 
 
 def _k5_subdivision(g: Graph, n: int) -> bool:

@@ -7,6 +7,7 @@ import pytest
 
 from planarext import (
     EdgeColoring,
+    Graph,
     InstanceTooLargeError,
     Matching,
     atlas,
@@ -14,12 +15,15 @@ from planarext import (
     chromatic_index_exact,
     complete,
     enumerate_connected,
+    extremal_general,
     max_degree,
     partition_bound_check,
     pivotal_planar,
     star,
     vizing_color,
 )
+
+from oracles import reference_vizing_color
 
 
 def _color_classes_are_matchings(coloring: EdgeColoring) -> bool:
@@ -64,13 +68,17 @@ def test_vizing_colorings_pinned():
     )
 
 
-def test_vizing_on_random_multicomponent():
+def _random_multicomponent():
     rng = random.Random(31)
     for _ in range(60):
         n = rng.randint(2, 10)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rng.shuffle(pairs)
-        g = build_graph(n, pairs[: rng.randint(0, len(pairs))])
+        yield build_graph(n, pairs[: rng.randint(0, len(pairs))])
+
+
+def test_vizing_on_random_multicomponent():
+    for g in _random_multicomponent():
         coloring = vizing_color(g)
         assert coloring.palette_size <= max_degree(g) + 1
 
@@ -137,3 +145,49 @@ def test_petersen_is_class_two():
 def test_exact_solver_budget():
     with pytest.raises(InstanceTooLargeError):
         chromatic_index_exact(complete(10))
+
+
+def _wheel(k: int) -> Graph:
+    """W_k: hub 0 joined to every vertex of the rim cycle 1..k."""
+    rim = range(1, k + 1)
+    return build_graph(k + 1, [(0, i) for i in rim] + [(i, i % k + 1) for i in rim])
+
+
+def _coloring_corpus():
+    """The graphs this file colors, and the extremal families at small nu."""
+    yield from (atlas(name) for name in ("K5_MINUS", "A4", "A5", "A6", "A7"))
+    yield from enumerate_connected(7, 6)
+    yield from _random_multicomponent()
+    for d in range(2, 11):
+        for nu in range(2, 13):
+            yield pivotal_planar(d, nu)
+            yield extremal_general(d, nu)
+
+
+def test_vizing_matches_reference():
+    # each fan is one pass over u's colored edges; the reference restarts
+    # its scan of u's row at every fan step, and both build the same fan.
+    # Every wheel up to W_100, then every eleventh up to W_300
+    for g in [*map(_wheel, [*range(3, 101), *range(101, 301, 11)]), *_coloring_corpus()]:
+        assert vizing_color(g).color_of == reference_vizing_color(g).color_of
+
+
+class _CountedRow(tuple):
+    """An adjacency row that counts how often it is iterated."""
+
+    reads = 0
+
+    def __iter__(self):
+        _CountedRow.reads += 1
+        return super().__iter__()
+
+
+def test_vizing_reads_the_hub_row_once_per_edge():
+    # on W_300 every fan is rooted at the hub 0; a fan that rescanned the
+    # hub's row at each step read it 45,152 times
+    g = _wheel(300)
+    counted = Graph(g.n, (_CountedRow(g.adj[0]), *g.adj[1:]))
+    _CountedRow.reads = 0
+    coloring = vizing_color(counted)
+    assert _CountedRow.reads <= 2 * 300
+    assert coloring.color_of == vizing_color(g).color_of

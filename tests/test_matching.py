@@ -21,7 +21,7 @@ from planarext.enumeration import enumerate_connected
 from planarext.graphs import disjoint_union, from_masks, induced_subgraph
 from planarext.matching import _mate_array
 
-from oracles import brute_matching_number
+from oracles import brute_matching_number, reference_mate_array
 
 
 def _random_graph(rng: random.Random, n: int, max_edges: int):
@@ -236,3 +236,46 @@ def test_seeded_matching_augments_through_a_blossom():
     match = _mate_array(g, seed)
     assert _mate_size(g, match) == 4 == brute_matching_number(g)
     assert match == [7, 5, 6, 4, 3, 1, 2, 0]
+
+
+def test_seeded_blossom_links_each_inner_blossom_at_its_base():
+    # from 7, the search contracts a blossom that holds an inner one. Had
+    # the walk linked the inner blossom's base rather than the vertex it
+    # stood on, it would have stopped at that base before setting the
+    # inner blossom's p links, and found 3 pairs
+    g = build_graph(
+        8,
+        [(0, 3), (0, 5), (0, 6), (0, 7), (1, 4), (1, 7), (2, 3), (2, 5), (3, 5), (4, 5)],
+    )
+    seed = [3, 4, 5, 0, 1, 2, -1]
+    parent = induced_subgraph(g, range(7))
+    assert _mate_size(parent, seed) == brute_matching_number(parent) == 3
+    assert _mate_size(g, _mate_array(g, seed)) == brute_matching_number(g) == 4
+
+
+def _wheel(k: int):
+    """W_k: hub 0 joined to every vertex of the rim cycle 1..k."""
+    rim = range(1, k + 1)
+    return build_graph(k + 1, [(0, i) for i in rim] + [(i, i % k + 1) for i in rim])
+
+
+def test_mate_array_matches_reference_on_wheels():
+    for k in range(3, 401):
+        g = _wheel(k)
+        want = (k + 1) // 2
+        assert _mate_size(g, _mate_array(g)) == _mate_size(g, reference_mate_array(g)) == want
+
+
+def test_mate_array_matches_reference_on_random_graphs():
+    # unseeded, and seeded with a maximum matching of g less its last vertex
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        n = rng.randint(1, 60)
+        p = rng.random() * (0.3 if rng.random() < 0.5 else 4 / n)
+        g = build_graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+        want = _mate_size(g, reference_mate_array(g))
+        assert _mate_size(g, _mate_array(g)) == want, g.edges()
+        if n > 1:
+            seed = reference_mate_array(induced_subgraph(g, range(n - 1)))
+            assert _mate_size(g, _mate_array(g, seed)) == want, g.edges()
+            assert _mate_size(g, reference_mate_array(g, seed)) == want, g.edges()

@@ -376,6 +376,14 @@ def test_table_over_budget_fails_before_any_work(monkeypatch):
     ):
         with pytest.raises(BudgetExceededError, match="budget is 10 vertices, got 11"):
             call()
+    # the star witness K_{1,d-1} has d vertices, more than graph6 can print
+    for call in (
+        lambda: component_table(258048, 3),
+        lambda: component_table(10**8, 3, workers=2),
+        lambda: verify_theorem(258048, 2, 3),
+    ):
+        with pytest.raises(ValueError, match="at most 258047 vertices, the star witness has"):
+            call()
 
 
 @pytest.mark.parametrize("journal", [False, True])

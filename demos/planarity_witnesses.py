@@ -17,7 +17,7 @@ from planarext import (
     classify_kuratowski,
     complement,
     complete,
-    euler_identity_holds,
+    connected_components,
     euler_reject,
     face_count,
     induced_subgraph,
@@ -36,7 +36,8 @@ result = is_planar(g)
 assert result.verdict
 faces = face_count(g, result.embedding)
 print(f"pivotal_planar(5, 4): n={g.n} m={g.m} faces={faces}")
-print(f"Euler identity holds: {euler_identity_holds(g, result.embedding)}")
+components = len(connected_components(g))
+print(f"Euler identity holds: {g.n - g.m + faces == 1 + components}")
 
 # ---------------------------------------------------------------------------
 # A non-planar verdict comes with a witness. K5 itself:

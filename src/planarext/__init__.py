@@ -59,7 +59,6 @@ from .oracle import (
 from .planarity import (
     PlanarityResult,
     classify_kuratowski,
-    euler_identity_holds,
     euler_reject,
     face_count,
     is_outerplanar,
@@ -104,7 +103,6 @@ __all__ = [
     "disjoint_union",
     "dot_export",
     "enumerate_connected",
-    "euler_identity_holds",
     "euler_reject",
     "extremal_general",
     "face_count",

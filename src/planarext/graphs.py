@@ -16,8 +16,8 @@ from typing import Iterable, Iterator, Sequence
 class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
-    Invariants (checked on construction): adjacency lists are strictly
-    ascending tuples, contain no self-loops, and are symmetric.
+    Invariants (checked on construction): adjacency is a tuple of
+    strictly ascending tuples, with no self-loops, and is symmetric.
     """
 
     n: int
@@ -27,12 +27,16 @@ class Graph:
         n, adj = self.n, self.adj
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        if not isinstance(adj, tuple):
+            raise ValueError("adjacency is not a tuple")
         if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
         # symmetry in the same pass: the rows listing w > v come in ascending
         # v, so each v must be the next unread entry of adj[w]
         read = [0] * n
         for v, row in enumerate(adj):
+            if not isinstance(row, tuple):
+                raise ValueError(f"adjacency of {v} is not a tuple")
             prev = -1
             for w in row:
                 if w <= prev:
@@ -189,17 +193,26 @@ def _component_masks(masks: Sequence[int], vertices: int | None = None) -> Itera
         yield reach
 
 
+def _relabelled(masks: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Each component's vertex mask and rows relabelled 0..k-1, by smallest vertex."""
+    for comp in _component_masks(masks):
+        low = (comp & -comp).bit_length() - 1
+        span = comp >> low
+        if span & (span + 1):
+            index = {v: 1 << i for i, v in enumerate(bits(comp))}
+            yield comp, tuple(sum(index[w] for w in bits(masks[v])) for v in index)
+        else:  # contiguous labels: the relabelling is a shift, or none from 0
+            rows = masks[low : low + span.bit_length()]
+            yield comp, tuple(m >> low for m in rows) if low else tuple(rows)
+
+
 def connected_components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     """Connected components as (induced graph, original labels) pairs.
 
     Labels are ascending inside each component and components are ordered
     by their smallest original vertex, so the output is deterministic.
     """
-    out = []
-    for comp in _component_masks(g.masks):
-        labels = bits(comp)
-        out.append((induced_subgraph(g, labels), tuple(labels)))
-    return out
+    return [(from_masks(len(rows), rows), bits(comp)) for comp, rows in _relabelled(g.masks)]
 
 
 def component_counts(g: Graph) -> tuple[int, int]:

@@ -398,25 +398,26 @@ def classify_kuratowski(witness: tuple[tuple[int, int], ...]) -> str:
 def face_count(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> int:
     """Number of faces of the plane drawing described by the rotation system.
 
+    embedding[v] must order exactly v's neighbours, else ValueError.
     Components are drawn side by side sharing one outer face, so the count
     is the per-component face total minus (components - 1). The empty
     graph has one face, the whole plane.
     """
+    if len(embedding) != g.n or any(tuple(sorted(r)) != row for r, row in zip(embedding, g.adj)):
+        raise ValueError("embedding is not a rotation system of g")
     # v's darts, to embedding[v][0], embedding[v][1], ..., get consecutive ids
     dart: dict[tuple[int, int], int] = {}
     for v, rot in enumerate(embedding):
         for u in rot:
             dart[v, u] = len(dart)
+    # g is symmetric, so every dart u -> v has its twin v -> u
     succ = [0] * len(dart)
     base = 0
     for v, rot in enumerate(embedding):
         k = len(rot)
         for i, u in enumerate(rot, 1):
             # a face turns from the dart u -> v onto the next dart around v
-            try:
-                succ[dart[u, v]] = base + i % k
-            except KeyError:
-                raise ValueError(f"{u} is around {v} but {v} is not around {u}") from None
+            succ[dart[u, v]] = base + i % k
         base += k
     faces = 0
     for start in range(len(succ)):
@@ -432,12 +433,6 @@ def face_count(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> int:
     return faces - (components - edgeless - 1)
 
 
-def euler_identity_holds(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> bool:
-    """n - m + f == 1 + c for the traced face count f and c components."""
-    c = component_counts(g)[0]
-    return g.n - g.m + face_count(g, embedding) == 1 + c
-
-
 def is_planar(g: Graph) -> PlanarityResult:
     """Full planarity test: embedding when planar, Kuratowski witness when not."""
     lr = _LRTest(g.n, g.adj)
@@ -446,7 +441,7 @@ def is_planar(g: Graph) -> PlanarityResult:
         classify_kuratowski(witness)  # raises ValueError unless K5 or K3,3
         return PlanarityResult(False, None, witness)
     embedding = lr.embed()
-    if not euler_identity_holds(g, embedding):
+    if g.n - g.m + face_count(g, embedding) != 1 + len(lr.roots):  # one LR root per component
         raise AssertionError("planar embedding fails Euler's formula")
     return PlanarityResult(True, embedding, None)
 

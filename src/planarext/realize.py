@@ -87,18 +87,16 @@ def _group_selections(groups: list[list[int]], need: int) -> Iterator[list[int]]
     return pick(0, need)
 
 
-def realize_degree_sequence_planar(
-    seq: Sequence[int], budget: float | None = 30.0
-) -> RealizeResult:
+def realize_degree_sequence_planar(seq: Sequence[int], budget: float = 30.0) -> RealizeResult:
     """Find a planar graph with the given degree sequence, or prove none exists.
 
-    `budget` is a wall-clock allowance in seconds (None for unlimited).
+    `budget` is a wall-clock allowance in seconds (math.inf for unlimited).
     NaN or a negative budget, a negative degree and an odd degree sum
     raise ValueError. Returns a RealizeResult whose status is "found"
     (graph attached), "exhausted" (no planar realization exists), or
     "timed-out".
     """
-    if budget is not None and not budget >= 0:
+    if not budget >= 0:
         raise ValueError(f"budget must be nonnegative seconds, got {budget}")
     rem = sorted(seq, reverse=True)
     if rem and rem[-1] < 0:
@@ -106,7 +104,7 @@ def realize_degree_sequence_planar(
     if sum(rem) % 2 != 0:
         raise ValueError("degree sum must be even")
     n = len(rem)
-    deadline = None if budget is None else time.monotonic() + budget
+    deadline = time.monotonic() + budget
     masks = [0] * n
     if n == 0:
         return RealizeResult("found", Graph(0, ()))
@@ -114,7 +112,7 @@ def realize_degree_sequence_planar(
         return RealizeResult("exhausted", None)
 
     def search() -> Graph | None:
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             raise _Deadline
         pivot = max(range(n), key=lambda v: rem[v])
         need = rem[pivot]
@@ -130,7 +128,7 @@ def realize_degree_sequence_planar(
             grouped.setdefault((rem[u], masks[u]), []).append(u)
         groups = [sorted(members) for _, members in sorted(grouped.items())]
         for chosen in _group_selections(groups, need):
-            if deadline is not None and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 raise _Deadline
             for u in chosen:
                 masks[pivot] |= 1 << u

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 
 from .bounds import max_edges_planar
-from .graphs import Graph, _component_masks, bits, from_masks, max_degree
+from .graphs import Graph, _relabelled, bits, from_masks, max_degree
 from .matching import matching_number
 from .planarity import is_planar
 
@@ -152,16 +152,11 @@ def certificate(g: Graph, d: int, nu: int) -> CertificateReport:
     """
     masks = g.masks
     groups: dict[tuple[int, ...], int] = {}
-    for comp in _component_masks(masks):
-        low = (comp & -comp).bit_length() - 1
-        span = comp >> low
-        if span & (span + 1):
-            index = {v: 1 << i for i, v in enumerate(bits(comp))}
-            key = tuple(sum(index[w] for w in bits(masks[v])) for v in index)
-        else:  # contiguous labels: the relabelling is a shift
-            key = tuple(m >> low for m in masks[low : low + span.bit_length()])
-        groups[key] = groups.get(key, 0) + 1
-    parts = [(from_masks(len(key), key), count) for key, count in groups.items()]
+    for _, rows in _relabelled(masks):
+        groups[rows] = groups.get(rows, 0) + 1
+    parts = [
+        (g if key == masks else from_masks(len(key), key), count) for key, count in groups.items()
+    ]
     planar = all(is_planar(c).verdict for c, _ in parts)
     nu_g = sum(count * matching_number(c) for c, count in parts)
     maxdeg = max_degree(g)

@@ -13,6 +13,7 @@ from planarext import (
     induced_subgraph,
     is_connected,
     max_degree,
+    pivotal_planar,
 )
 from planarext.graphs import bits, component_counts, from_masks
 
@@ -86,6 +87,10 @@ def test_graph_rejects_malformed_rows_naming_the_first_fault():
         (3, ((1,), (0, 1), ()), "self-loop at 1"),
         (2, ((1,),), "adjacency length does not match vertex count"),
         (-1, (), "vertex count must be non-negative"),
+        # rows must be tuples: a list compares unequal, hashes not, and mutates
+        (2, [(1,), (0,)], "adjacency is not a tuple"),
+        (2, ([1], [0]), "adjacency of 0 is not a tuple"),
+        (3, ((1,), [0, 2], (1,)), "adjacency of 1 is not a tuple"),
         # as many listings above the diagonal as below, but not the same pair
         (3, ((2,), (0,), ()), "edge (0,2) is not symmetric"),
         (40, tuple(k40), "edge (5,30) is not symmetric"),
@@ -170,6 +175,29 @@ def test_component_counts_match_components():
         edgeless = sum(1 for c, _ in comps if c.m == 0)
         assert component_counts(g) == (len(comps), edgeless)
         assert is_connected(g) == (len(comps) <= 1)
+
+
+def test_connected_components_match_induced_subgraphs():
+    rng = random.Random(25)
+    g = pivotal_planar(6, 12)
+    perm = rng.sample(range(g.n), g.n)
+    graphs = [build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])]
+    while len(graphs) < 61:  # 60 random graphs with more than one component
+        n = rng.randint(2, 80)
+        h = build_graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 1.5 / n])
+        if not is_connected(h):
+            graphs.append(h)
+    spread = 0
+    for g in graphs:
+        comps = connected_components(g)
+        assert len(comps) > 1
+        assert sorted(v for _, labels in comps for v in labels) == list(range(g.n))
+        assert [labels[0] for _, labels in comps] == sorted(labels[0] for _, labels in comps)
+        for c, labels in comps:
+            assert list(labels) == sorted(labels) and is_connected(c)
+            assert c == induced_subgraph(g, labels)
+            spread += labels[-1] - labels[0] >= len(labels)
+    assert spread > 100  # most components have non-contiguous labels
 
 
 def test_bits_matches_reference_loop():

@@ -21,9 +21,9 @@ from planarext import (
     classify_kuratowski,
     complement,
     complete,
+    connected_components,
     enumerate_connected,
     enumeration,
-    euler_identity_holds,
     euler_reject,
     face_count,
     is_outerplanar,
@@ -315,7 +315,8 @@ def test_embeddings_satisfy_euler():
     for g in graphs:
         result = is_planar(g)
         assert result.verdict
-        assert euler_identity_holds(g, result.embedding)
+        faces = face_count(g, result.embedding)
+        assert g.n - g.m + faces == 1 + len(connected_components(g))
 
 
 def test_face_count_values():
@@ -365,10 +366,29 @@ def test_face_count_on_wheels_reads_each_rotation_once(k):
 
 
 def test_face_count_refuses_a_one_sided_rotation_system():
-    g = build_graph(3, [(0, 1), (1, 2)])
-    for embedding in (((1,), (2,), (1,)), tuple(map(_NoIndex, ((1,), (0, 2), ())))):
+    path, k2 = build_graph(3, [(0, 1), (1, 2)]), build_graph(2, [(0, 1)])
+    cases = [
+        (path, ((1,), (2,), (1,))),
+        (path, tuple(map(_NoIndex, ((1,), (0, 2), ())))),
+        # another graph's rotations, a self-loop row and a repeated neighbour
+        (k2, is_planar(complete(4)).embedding),
+        (build_graph(1, []), ((0,),)),
+        (k2, ((1, 1), (0, 0))),
+    ]
+    for g, embedding in cases:
         with pytest.raises(ValueError):
             face_count(g, embedding)
+
+
+def test_is_planar_floods_the_components_once(monkeypatch):
+    # the Euler check takes its component count from the LR search's roots
+    calls = []
+    real = planarity.component_counts
+    monkeypatch.setattr(planarity, "component_counts", lambda g: calls.append(g) or real(g))
+    for g in (complete(4), pivotal_planar(5, 6), build_graph(6, [(0, 1), (2, 3)]), Graph(0, ())):
+        calls.clear()
+        assert is_planar(g).verdict
+        assert calls == [g]
 
 
 def test_euler_reject_only_rejects_dense():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import time
 from types import SimpleNamespace
@@ -111,7 +112,7 @@ def test_unbudgeted_results_pinned():
     # check's early returns; 163 found and 242 exhausted
     digest = hashlib.sha256()
     for seq in _pinned_sequences():
-        result = realize_degree_sequence_planar(seq, budget=None)
+        result = realize_degree_sequence_planar(seq, budget=math.inf)
         g6 = "-" if result.graph is None else graph6_encode(result.graph)
         digest.update(f"{result.status} {g6}\n".encode("ascii"))
     assert digest.hexdigest() == (

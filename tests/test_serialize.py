@@ -18,10 +18,12 @@ from planarext import (
     extremal_general,
     graph6_decode,
     graph6_encode,
+    is_planar,
     pivotal_planar,
     serialize,
     star,
 )
+from planarext.graphs import from_masks
 
 from oracles import (
     reference_certificate,
@@ -248,6 +250,24 @@ def test_certificate_certifies_each_distinct_component_once(monkeypatch):
     rep = certificate(g, 6, 8)
     assert not rep.planar and rep.matching_number == 1 + 2 + 2 + 7
     assert [c for c in calls if c[0] == "is_planar"] == [("is_planar", 6), ("is_planar", 5)]
+
+
+def test_certificate_takes_a_connected_graph_as_its_own_part(monkeypatch):
+    built, certified = [], []
+
+    def counted(n, masks):
+        built.append(n)
+        return from_masks(n, masks)
+
+    monkeypatch.setattr(serialize, "from_masks", counted)
+    monkeypatch.setattr(serialize, "is_planar", lambda g: certified.append(g) or is_planar(g))
+    for g in (atlas("A7"), complete(5), build_graph(2, [(0, 1)]), build_graph(1, [])):
+        certified.clear()
+        certificate(g, 6, 8)
+        assert built == [] and certified[0] is g
+    # a disconnected graph's parts are still built from their rows
+    certificate(disjoint_union(atlas("A7"), atlas("A4")), 6, 8)
+    assert built == [atlas("A7").n, atlas("A4").n]
 
 
 def test_codec_matches_reference():

@@ -59,7 +59,6 @@ from .oracle import (
 from .planarity import (
     PlanarityResult,
     classify_kuratowski,
-    euler_reject,
     face_count,
     is_outerplanar,
     is_planar,
@@ -103,7 +102,6 @@ __all__ = [
     "disjoint_union",
     "dot_export",
     "enumerate_connected",
-    "euler_reject",
     "extremal_general",
     "face_count",
     "graph6_decode",

@@ -215,12 +215,6 @@ def connected_components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     return [(from_masks(len(rows), rows), bits(comp)) for comp, rows in _relabelled(g.masks)]
 
 
-def component_counts(g: Graph) -> tuple[int, int]:
-    """(number of components, number of edgeless ones), by a bitmask flood."""
-    masks = g.masks
-    return sum(1 for _ in _component_masks(masks)), masks.count(0)
-
-
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or component_counts(g)[0] == 1
-
+    """True when one flood from vertex 0 reaches every vertex."""
+    return g.n <= 1 or next(_component_masks(g.masks)) == (1 << g.n) - 1

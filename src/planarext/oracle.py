@@ -51,7 +51,7 @@ from .bounds import max_edges_planar
 from .canon import _canonical_search, canonical_form
 from .constructions import star
 from .enumeration import _check_budget, _children, _Level, _levels
-from .graphs import Graph, from_masks, is_connected, max_degree
+from .graphs import Graph, bits, from_masks, is_connected, max_degree
 from .matching import _mate_array, matching_number
 from .planarity import is_planar
 from .serialize import _G6_MAX_ORDER, graph6_decode, graph6_encode
@@ -169,13 +169,15 @@ def _journal_header(d: int, n_max: int) -> bytes:
 
 
 def _load_checkpoint(
-    path: str, d: int, n_max: int, roots: set[str]
+    path: str, d: int, n_max: int, roots: dict[str, tuple[int, ...]]
 ) -> dict[str, dict[int, Graph]]:
     """The finished roots in the journal at path, in the order they were written.
 
     Journal records are read and checked here alone: an [edges, graph6]
     pair under a decimal key mu >= 1, whose witness is a connected planar
-    graph with Δ < d, matching number mu and that many edges. Anything
+    graph with Δ < d, matching number mu and that many edges. roots maps
+    each root's name to its masks: a root lies in its own subtree, so its
+    line needs a record at mu(root) with at least m(root) edges. Anything
     else that this run did not write raises ValueError before the file
     is touched; only then is a torn last line (no newline) cut off, so
     that its root is recomputed.
@@ -240,6 +242,14 @@ def _load_checkpoint(
                     f"checkpoint record for mu={mu_text} does not match its witness"
                 )
             records[mu] = g
+        masks = roots[root]
+        g = Graph(len(masks), tuple(map(bits, masks)))  # from_masks is left to enumerated graphs
+        mu = matching_number(g)
+        if mu not in records or records[mu].m < g.m:
+            raise ValueError(
+                f"checkpoint {path} line {number}: root {root} has no record "
+                f"at mu={mu} with at least its {g.m} edges"
+            )
     if end < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(end)
@@ -304,8 +314,9 @@ def component_table(
                 g = from_masks(len(masks), masks)
                 _offer(best, g, matching_number(g))
     if roots:
-        names = [form.hex() for _masks, form, _gens in roots]
-        done = _load_checkpoint(checkpoint, d, n_max, set(names)) if checkpoint else {}
+        by_name = {form.hex(): masks for masks, form, _gens in roots}
+        names = list(by_name)
+        done = _load_checkpoint(checkpoint, d, n_max, by_name) if checkpoint else {}
         for records in done.values():
             for mu, g in records.items():
                 _offer(best, g, mu)

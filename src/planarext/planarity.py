@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, bits, component_counts
+from .graphs import Graph, _component_masks, bits
 
 
 @dataclass(frozen=True)
@@ -24,11 +24,6 @@ class PlanarityResult:
     verdict: bool
     embedding: tuple[tuple[int, ...], ...] | None
     witness: tuple[tuple[int, int], ...] | None
-
-
-def euler_reject(g: Graph) -> bool:
-    """Quick edge-count rejection: true means definitely non-planar."""
-    return g.n >= 3 and g.m > 3 * g.n - 6
 
 
 def _merge_lowpts(lowpt: list[int], lowpt2: list[int], ep: int, ec: int) -> None:
@@ -261,50 +256,47 @@ class _LRTest:
     def embed(self) -> tuple[tuple[int, ...], ...]:
         src, dst, side, ref = self.src, self.dst, self.side, self.ref
         nesting, parent_edge = self.nesting_depth, self.parent_edge
-        ordered = self.ordered_adjs
-
-        def signed_depth(e: int) -> int:
-            return nesting[e] * side[e]
-
-        for v, out in enumerate(self.out_edges):
-            for e in out:
-                # resolve the sign of e along its ref chain, compressing it
-                chain = []
-                cur = e
-                while ref[cur] >= 0:
-                    chain.append(cur)
-                    cur = ref[cur]
-                sign = side[cur]
-                for edge in reversed(chain):
-                    side[edge] *= sign
-                    ref[edge] = -1
-                    sign = side[edge]
-            if len(out) > 1:
-                ordered[v] = sorted(out, key=signed_depth)
-        rotation: list[list[int]] = [[] for _ in range(self.n)]
-        left_ref = [0] * self.n
-        right_ref = [0] * self.n
+        for e in range(len(ref)):
+            # resolve the sign of e along its ref chain, compressing it
+            chain = []
+            while ref[e] >= 0:
+                chain.append(e)
+                e = ref[e]
+            for edge in reversed(chain):
+                side[edge] *= side[e]
+                ref[edge] = -1
+                e = edge
+        ordered = [sorted(out, key=lambda e: nesting[e] * side[e]) for out in self.out_edges]
+        # a back edge lies beside the tree edge it returns through at its
+        # head: on a stack left or right of that tree child
+        through = [0] * self.n  # the tree child each vertex is descending into
+        left: list[list[int]] = [[] for _ in range(self.n)]
+        right: list[list[int]] = [[] for _ in range(self.n)]
         for root in self.roots:
             rows = [iter(ordered[root])]
             while rows:
                 for ei in rows[-1]:
-                    v, w = src[ei], dst[ei]
-                    rotation[v].append(w)
+                    w = dst[ei]
                     if parent_edge[w] == ei:
-                        rotation[w].insert(0, v)
-                        left_ref[v] = w
-                        right_ref[v] = w
+                        through[src[ei]] = w
                         rows.append(iter(ordered[w]))
                         break
-                    rw = rotation[w]
-                    if side[ei] == 1:
-                        rw.insert(rw.index(right_ref[w]) + 1, v)
-                    else:
-                        rw.insert(rw.index(left_ref[w]), v)
-                        left_ref[w] = v
+                    (right if side[ei] == 1 else left)[through[w]].append(src[ei])
                 else:
                     rows.pop()
-        return tuple(map(tuple, rotation))
+        # the parent first, then each out-edge in order, a tree child
+        # between its left and right stacks, each read newest first
+        rotation = []
+        for v, out in enumerate(ordered):
+            rot = [] if parent_edge[v] < 0 else [src[parent_edge[v]]]
+            for ei in out:
+                w = dst[ei]
+                if parent_edge[w] == ei:
+                    rot += [*reversed(left[w]), w, *reversed(right[w])]
+                else:
+                    rot.append(w)
+            rotation.append(tuple(rot))
+        return tuple(rotation)
 
 
 def _decide(n: int, masks: Sequence[int]) -> bool:
@@ -395,14 +387,10 @@ def classify_kuratowski(witness: tuple[tuple[int, int], ...]) -> str:
     raise ValueError("witness is not a Kuratowski subdivision")
 
 
-def face_count(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> int:
-    """Number of faces of the plane drawing described by the rotation system.
-
-    embedding[v] must order exactly v's neighbours, else ValueError.
-    Components are drawn side by side sharing one outer face, so the count
-    is the per-component face total minus (components - 1). The empty
-    graph has one face, the whole plane.
-    """
+def _trace_faces(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> int:
+    """Face orbits of the rotation system's darts, one per face of each
+    component with edges. embedding[v] must order exactly v's neighbours,
+    else ValueError."""
     if len(embedding) != g.n or any(tuple(sorted(r)) != row for r, row in zip(embedding, g.adj)):
         raise ValueError("embedding is not a rotation system of g")
     # v's darts, to embedding[v][0], embedding[v][1], ..., get consecutive ids
@@ -421,16 +409,23 @@ def face_count(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> int:
         base += k
     faces = 0
     for start in range(len(succ)):
-        if succ[start] < 0:
-            continue
-        faces += 1
-        cur = start
-        while succ[cur] >= 0:
-            # -1 marks a traced dart
-            succ[cur], cur = -1, succ[cur]
-    # the components with edges share one outer face; isolated vertices lie in it
-    components, edgeless = component_counts(g)
-    return faces - (components - edgeless - 1)
+        if succ[start] >= 0:
+            faces += 1
+            cur = start
+            while succ[cur] >= 0:  # -1 marks a traced dart
+                succ[cur], cur = -1, succ[cur]
+    return faces
+
+
+def face_count(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> int:
+    """Number of faces of the plane drawing described by the rotation system.
+
+    embedding[v] must order exactly v's neighbours, else ValueError.
+    Components with edges are drawn side by side sharing one outer face,
+    in which isolated vertices lie; the empty graph has one face.
+    """
+    shared = sum(1 for comp in _component_masks(g.masks) if comp & (comp - 1)) - 1
+    return _trace_faces(g, embedding) - shared
 
 
 def is_planar(g: Graph) -> PlanarityResult:
@@ -441,7 +436,8 @@ def is_planar(g: Graph) -> PlanarityResult:
         classify_kuratowski(witness)  # raises ValueError unless K5 or K3,3
         return PlanarityResult(False, None, witness)
     embedding = lr.embed()
-    if g.n - g.m + face_count(g, embedding) != 1 + len(lr.roots):  # one LR root per component
+    # n - m + f = 2 per LR root with edges; an isolated root adds 1 - 0 + 0
+    if g.n - g.m + _trace_faces(g, embedding) != 2 * len(lr.roots) - g.adj.count(()):
         raise AssertionError("planar embedding fails Euler's formula")
     return PlanarityResult(True, embedding, None)
 

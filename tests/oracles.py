@@ -42,7 +42,7 @@ Package functions a reference reuses, beyond the Graph type's own
 accessors, each tested on its own:
 canonical_form_masks for the marked forms of the designated-vertex rule
 and the forms of the child generator; canonical_form in the Kuratowski
-classifier; component_counts in the face count; is_planar,
+classifier; connected_components in the face count; is_planar,
 matching_number, graph6_encode and max_edges_planar in the certificate;
 max_edges_planar, max_edges_general, build_graph, disjoint_union,
 complete, k_prime, star and atlas in the extremal families; build_graph
@@ -64,7 +64,7 @@ from planarext.bounds import max_edges_general, max_edges_planar
 from planarext.canon import canonical_form, canonical_form_masks
 from planarext.constructions import AtlasName, atlas, complete, k_prime, star
 from planarext.enumeration import enumerate_connected
-from planarext.graphs import build_graph, component_counts, disjoint_union, max_degree
+from planarext.graphs import build_graph, connected_components, disjoint_union, max_degree
 from planarext.matching import matching_number
 from planarext.oracle import (
     ComponentRecord,
@@ -978,9 +978,10 @@ def reference_face_count(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> in
             cur = succ[cur]
     if g.n == 0:
         return 1
-    components, edgeless = component_counts(g)
+    components = connected_components(g)
+    edgeless = sum(1 for c, _ in components if c.n == 1)
     # edgeless components still bound one face each
-    return faces + edgeless - (components - 1)
+    return faces + edgeless - (len(components) - 1)
 
 
 def reference_residual_feasible(rem: list[int]) -> bool:

@@ -15,7 +15,7 @@ from planarext import (
     max_degree,
     pivotal_planar,
 )
-from planarext.graphs import bits, component_counts, from_masks
+from planarext.graphs import bits, from_masks
 
 from oracles import all_labeled_graphs, reference_bits, reference_graph_check
 
@@ -170,11 +170,9 @@ def test_component_counts_match_components():
         for p in (0.005, 0.02, 0.1):
             edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
             graphs.append(build_graph(n, edges))
+    # is_connected stops after its first flood; connected_components floods all
     for g in graphs:
-        comps = connected_components(g)
-        edgeless = sum(1 for c, _ in comps if c.m == 0)
-        assert component_counts(g) == (len(comps), edgeless)
-        assert is_connected(g) == (len(comps) <= 1)
+        assert is_connected(g) == (len(connected_components(g)) <= 1)
 
 
 def test_connected_components_match_induced_subgraphs():

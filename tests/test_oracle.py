@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -281,6 +282,68 @@ def test_refused_journal_keeps_its_torn_last_line(tmp_path, monkeypatch, corrupt
     with pytest.raises(ValueError, match=message):
         component_table(4, 7, checkpoint=str(path))
     assert path.read_text() == journal
+
+
+def _golden_journal_with(tmp_path, edit):
+    """The pinned d = 6, n_max = 8 journal with edit() applied to its lines."""
+    lines = (GOLDEN / "verify_d6_checkpoint.journal").read_text().splitlines(keepends=True)
+    path = tmp_path / "ck.journal"
+    path.write_text("".join(edit(lines)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "root_line",
+    # the star K_{1,5}, the only 5-edge record at mu = 1, and K_{1,4} below it
+    ['["060896",{}]\n', '["060896",{"1":[4,"Ds_"]}]\n'],
+    ids=["empty", "lowered"],
+)
+def test_root_line_without_the_root_itself_is_refused(tmp_path, monkeypatch, root_line):
+    # accepted, either line would make verify(6, 2, 8) print 4 for 5
+    path = _golden_journal_with(tmp_path, lambda lines: [lines[0], root_line] + lines[2:])
+    journal = path.read_bytes()
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    with pytest.raises(ValueError) as refused:
+        component_table(6, 8, checkpoint=str(path))
+    assert str(refused.value) == (
+        f"checkpoint {path} line 2: root 060896 has no record at mu=1 with at least its 5 edges"
+    )
+    assert path.read_bytes() == journal
+
+
+def _mutant(rng, lines):
+    """The lines with one random flip, deletion, insertion or truncation below the header."""
+    body = "".join(lines[1:])
+    at = rng.randrange(len(body))
+    kind = rng.randrange(4)
+    if kind == 0:  # one bit of one character
+        body = body[:at] + chr(ord(body[at]) ^ 1 << rng.randrange(7)) + body[at + 1 :]
+    elif kind == 1:  # one whole line
+        del lines[rng.randrange(1, len(lines))]
+        return lines
+    elif kind == 2:  # one character, one the journal uses
+        body = body[:at] + rng.choice(body) + body[at:]
+    else:
+        body = body[:at]
+    return [lines[0], body]
+
+
+def test_mutated_journal_is_refused_or_resumes_to_the_golden_table(tmp_path, monkeypatch):
+    golden = _rows(component_table(6, 8))
+    rng = random.Random(11)
+    refused = 0
+    for _ in range(40):
+        path = _golden_journal_with(tmp_path, lambda lines: _mutant(rng, lines))
+        journal = path.read_bytes()
+        monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+        try:
+            table = component_table(6, 8, checkpoint=str(path))
+        except ValueError:
+            refused += 1
+            assert path.read_bytes() == journal
+        else:
+            assert _rows(table) == golden, journal
+    assert 0 < refused < 40
 
 
 def test_serial_table_does_each_piece_of_work_once(monkeypatch):

@@ -24,15 +24,15 @@ from planarext import (
     connected_components,
     enumerate_connected,
     enumeration,
-    euler_reject,
     face_count,
+    is_connected,
     is_outerplanar,
     is_planar,
     pivotal_planar,
     planarity,
     star,
 )
-from planarext.graphs import component_counts, disjoint_union, from_masks
+from planarext.graphs import disjoint_union, from_masks
 from planarext.planarity import _decide
 
 from oracles import (
@@ -111,10 +111,39 @@ def test_decide_on_disconnected_and_subdivided_input():
         assert all(_decide(n, masks) for masks in all_labeled_graphs(n))
 
 
+def _wheel(k):
+    """The wheel W_k: hub 0, rim 1..k."""
+    rim = range(1, k + 1)
+    return build_graph(k + 1, [(0, i) for i in rim] + [(i, i % k + 1) for i in rim])
+
+
+def _hub_graph(rng):
+    """A hub joined to every vertex of a random outerplanar rim, relabelled.
+
+    The rim is a path with gaps plus non-crossing chords from a random
+    nested split of the polygon, so the hub keeps it planar.
+    """
+    k = rng.randint(100, 160)
+    edges = [(i, i + 1) for i in range(k - 1) if rng.random() < 0.9]
+    splits = [(0, k - 1)]
+    while splits:
+        a, b = splits.pop()
+        if b - a < 2:
+            continue
+        c = rng.randint(a + 1, b - 1)
+        edges += [e for e in ((a, c), (c, b)) if rng.random() < 0.6]
+        splits += [(a, c), (c, b)]
+    edges += [(i, k) for i in range(k)]
+    label = rng.sample(range(k + 1), k + 1)
+    return build_graph(k + 1, [(label[u], label[v]) for u, v in edges])
+
+
 def _lr_corpus(monkeypatch):
-    """Seeded random graphs, the decide inputs of the n <= 7 census, pivotal_planar."""
+    """Seeded random graphs, the decide inputs of the n <= 7 census, pivotal_planar,
+    the wheels W_3..W_300 and seeded random planar graphs with a hub."""
     rng = random.Random(2009)
-    graphs = []
+    graphs = [_wheel(k) for k in range(3, 301)]
+    graphs += [_hub_graph(rng) for _ in range(40)]
     for _ in range(1500):
         n = rng.randint(3, 14)
         p = rng.choice((0.1, 0.2, 0.3, 0.45, 0.6, 0.8))
@@ -149,7 +178,7 @@ def test_lr_kernel_matches_reference(monkeypatch):
         if not result.verdict:
             # is_planar's witness is the output of _minimize_witness
             assert result.witness == reference_minimize_witness(g), g.adj
-        kinds.add((result.verdict, component_counts(g)[0] > 1))
+        kinds.add((result.verdict, not is_connected(g)))
     assert kinds == {(True, False), (True, True), (False, False), (False, True)}
 
 
@@ -380,21 +409,14 @@ def test_face_count_refuses_a_one_sided_rotation_system():
             face_count(g, embedding)
 
 
-def test_is_planar_floods_the_components_once(monkeypatch):
-    # the Euler check takes its component count from the LR search's roots
-    calls = []
-    real = planarity.component_counts
-    monkeypatch.setattr(planarity, "component_counts", lambda g: calls.append(g) or real(g))
-    for g in (complete(4), pivotal_planar(5, 6), build_graph(6, [(0, 1), (2, 3)]), Graph(0, ())):
-        calls.clear()
-        assert is_planar(g).verdict
-        assert calls == [g]
-
-
-def test_euler_reject_only_rejects_dense():
-    assert euler_reject(complete(5))
-    assert not euler_reject(complete(4))
-    assert not euler_reject(build_graph(2, [(0, 1)]))
+def test_is_planar_builds_no_masks():
+    # the Euler check takes its component count from the LR search's
+    # roots, so a planar verdict floods nothing and leaves g.masks unbuilt
+    graphs = (complete(4), pivotal_planar(5, 6), build_graph(6, [(0, 1), (2, 3)]), _wheel(2000))
+    for g in graphs + (Graph(0, ()),):
+        fresh = Graph(g.n, g.adj)
+        assert is_planar(fresh).verdict
+        assert "masks" not in vars(fresh)
 
 
 def test_outerplanarity():
@@ -431,7 +453,7 @@ print("optimize", sys.flags.optimize)
 # four A7s and a 5-star, built while planarity is sound; no later step uses A7
 pivotal = constructions.pivotal_planar(6, 30)
 cycle = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
-planarity.face_count = lambda g, embedding: 0
+planarity._trace_faces = lambda g, embedding: 0
 raises("is_planar", lambda: planarity.is_planar(cycle))
 real_matching_number = constructions.matching_number
 constructions.matching_number = lambda g: -1
@@ -465,7 +487,7 @@ raises("vizing_color", lambda: coloring.vizing_color(triangle))
 coloring.max_degree = real_max_degree
 coloring.vizing_color = lambda g: SimpleNamespace(palette_size=99)
 raises("chromatic_index_exact", lambda: coloring.chromatic_index_exact(triangle))
-# face_count is still poisoned: each distinct component gets the Euler check
+# the face trace is still poisoned: each distinct component gets the Euler check
 raises("certificate", lambda: serialize.certificate(pivotal, 6, 30))
 """
 

@@ -23,7 +23,7 @@ from planarext import (
     serialize,
     star,
 )
-from planarext.graphs import from_masks
+from planarext.graphs import _component_masks, from_masks
 
 from oracles import (
     reference_certificate,
@@ -268,6 +268,22 @@ def test_certificate_takes_a_connected_graph_as_its_own_part(monkeypatch):
     # a disconnected graph's parts are still built from their rows
     certificate(disjoint_union(atlas("A7"), atlas("A4")), 6, 8)
     assert built == [atlas("A7").n, atlas("A4").n]
+
+
+def test_certificate_floods_a_connected_graph_once(monkeypatch):
+    # the grouping flood is the only one: is_planar counts components by
+    # its LR roots, and a connected graph is certified as its own part
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _component_masks(*args)
+
+    monkeypatch.setattr("planarext.graphs._component_masks", counted)
+    for g in (atlas("A7"), pivotal_planar(6, 5), build_graph(2, [(0, 1)])):
+        calls.clear()
+        assert certificate(g, 6, 8).planar
+        assert len(calls) == 1
 
 
 def test_codec_matches_reference():

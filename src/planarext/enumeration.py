@@ -47,7 +47,7 @@ from typing import Iterator, NamedTuple
 from itertools import combinations
 
 from .canon import _canonical_search, _swap_equivalent, canonical_form_masks
-from .graphs import Graph, _component_masks, bits, from_masks
+from .graphs import Graph, bits, from_masks
 from .planarity import _decide
 
 _BUDGET_N_MAX = 10
@@ -80,15 +80,25 @@ class _Parent(NamedTuple):
 
 def _parent_record(n: int, masks: tuple[int, ...], gens: list[list[int]]) -> _Parent:
     """The record of P, whose automorphism group gens generates."""
-    full = (1 << n) - 1
     degs = [m.bit_count() for m in masks]
     cuts: list[tuple[int, ...]] = []
     # indexed up to n + 1, one past the largest child degree of z
     at = [0] * (n + 2)
     for v in range(n):
-        comps = tuple(_component_masks(masks, full ^ (1 << v)))
+        comps: list[int] = []
+        unseen = keep = ((1 << n) - 1) ^ (1 << v)
+        while unseen:
+            reach = frontier = unseen & -unseen
+            while frontier:
+                grown = 0
+                for u in bits(frontier):
+                    grown |= masks[u]
+                frontier = grown & keep & ~reach
+                reach |= frontier
+            unseen &= ~reach
+            comps.append(reach)
         if len(comps) > 1:
-            cuts.append(comps)
+            cuts.append(tuple(comps))
         else:
             cuts.append(())
             at[degs[v]] |= 1 << v

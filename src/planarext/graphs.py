@@ -168,42 +168,31 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     index = {v: i for i, v in enumerate(vertices)}
     if len(index) != len(vertices):
         raise ValueError("duplicate vertex in selection")
-    adj = []
-    for v in vertices:
-        adj.append(tuple(sorted(index[w] for w in g.adj[v] if w in index)))
-    return Graph(len(vertices), tuple(adj))
+    adj = tuple(tuple(sorted(index[w] for w in g.adj[v] if w in index)) for v in vertices)
+    return Graph(len(vertices), adj)
 
 
-def _component_masks(masks: Sequence[int], vertices: int | None = None) -> Iterator[int]:
-    """Vertex set of each component as a bitmask, by smallest vertex, one flood each.
-
-    vertices, a bitmask, restricts the floods to the subgraph it induces;
-    by default they cover the whole graph.
-    """
-    unseen = keep = (1 << len(masks)) - 1 if vertices is None else vertices
-    while unseen:
-        reach = frontier = unseen & -unseen
-        while frontier:
-            grown = 0
-            for v in bits(frontier):
-                grown |= masks[v]
-            frontier = grown & keep & ~reach
-            reach |= frontier
-        unseen &= ~reach
-        yield reach
-
-
-def _relabelled(masks: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Each component's vertex mask and rows relabelled 0..k-1, by smallest vertex."""
-    for comp in _component_masks(masks):
-        low = (comp & -comp).bit_length() - 1
-        span = comp >> low
-        if span & (span + 1):
-            index = {v: 1 << i for i, v in enumerate(bits(comp))}
-            yield comp, tuple(sum(index[w] for w in bits(masks[v])) for v in index)
-        else:  # contiguous labels: the relabelling is a shift, or none from 0
-            rows = masks[low : low + span.bit_length()]
-            yield comp, tuple(m >> low for m in rows) if low else tuple(rows)
+def _relabelled(adj: tuple[tuple[int, ...], ...]) -> Iterator[tuple[list[int], tuple]]:
+    """Each component's vertices, ascending, and its rows relabelled 0..k-1,
+    by smallest vertex: one flood each, its list growing as it reaches more."""
+    seen = [False] * len(adj)
+    for s in range(len(adj)):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        for v in comp:
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        comp.sort()
+        if comp[-1] - s < len(comp):  # contiguous labels: a shift, or none from 0
+            rows = adj[s : s + len(comp)]
+            yield comp, tuple(tuple([w - s for w in row]) for row in rows) if s else rows
+        else:
+            index = {v: i for i, v in enumerate(comp)}
+            yield comp, tuple(tuple([index[w] for w in adj[v]]) for v in comp)
 
 
 def connected_components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
@@ -212,9 +201,9 @@ def connected_components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     Labels are ascending inside each component and components are ordered
     by their smallest original vertex, so the output is deterministic.
     """
-    return [(from_masks(len(rows), rows), bits(comp)) for comp, rows in _relabelled(g.masks)]
+    return [(Graph(len(rows), rows), tuple(comp)) for comp, rows in _relabelled(g.adj)]
 
 
 def is_connected(g: Graph) -> bool:
     """True when one flood from vertex 0 reaches every vertex."""
-    return g.n <= 1 or next(_component_masks(g.masks)) == (1 << g.n) - 1
+    return g.n <= 1 or len(next(_relabelled(g.adj))[0]) == g.n

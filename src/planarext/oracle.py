@@ -177,7 +177,8 @@ def _load_checkpoint(
     pair under a decimal key mu >= 1, whose witness is a connected planar
     graph with Δ < d, matching number mu and that many edges. roots maps
     each root's name to its masks: a root lies in its own subtree, so its
-    line needs a record at mu(root) with at least m(root) edges. Anything
+    line needs a record at mu(root) with at least m(root) edges, and no
+    record with fewer than n(root) or more than n_max vertices. Anything
     else that this run did not write raises ValueError before the file
     is touched; only then is a torn last line (no newline) cut off, so
     that its root is recomputed.
@@ -249,6 +250,11 @@ def _load_checkpoint(
             raise ValueError(
                 f"checkpoint {path} line {number}: root {root} has no record "
                 f"at mu={mu} with at least its {g.m} edges"
+            )
+        if not all(g.n <= h.n <= n_max for h in records.values()):
+            raise ValueError(
+                f"checkpoint {path} line {number}: root {root} has a record with "
+                f"fewer than its {g.n} or more than {n_max} vertices"
             )
     if end < len(data):
         with open(path, "r+b") as fh:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, _component_masks, bits
+from .graphs import Graph, _relabelled, bits
 
 
 @dataclass(frozen=True)
@@ -424,8 +424,7 @@ def face_count(g: Graph, embedding: tuple[tuple[int, ...], ...]) -> int:
     Components with edges are drawn side by side sharing one outer face,
     in which isolated vertices lie; the empty graph has one face.
     """
-    shared = sum(1 for comp in _component_masks(g.masks) if comp & (comp - 1)) - 1
-    return _trace_faces(g, embedding) - shared
+    return _trace_faces(g, embedding) + 1 - sum(len(comp) > 1 for comp, _ in _relabelled(g.adj))
 
 
 def is_planar(g: Graph) -> PlanarityResult:

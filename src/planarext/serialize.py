@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .bounds import max_edges_planar
-from .graphs import Graph, _relabelled, bits, from_masks, max_degree
+from .graphs import Graph, _relabelled, bits, max_degree
 from .matching import matching_number
 from .planarity import is_planar
 
@@ -145,18 +146,13 @@ def certificate(g: Graph, d: int, nu: int) -> CertificateReport:
 
     Planarity and the matching number are derived per distinct connected
     component: the graph is planar iff each component is, and matching
-    numbers add. Components are grouped by their row masks after
-    relabelling 0..k-1 in vertex order, so two share a group only when
-    they are the same labelled graph. Each distinct one goes through the
-    full is_planar, with its Euler check or Kuratowski witness check.
+    numbers add. Components are grouped by their rows after relabelling
+    0..k-1 in vertex order, so two share a group only when they are the
+    same labelled graph. Each distinct one goes through the full
+    is_planar, with its Euler check or Kuratowski witness check.
     """
-    masks = g.masks
-    groups: dict[tuple[int, ...], int] = {}
-    for _, rows in _relabelled(masks):
-        groups[rows] = groups.get(rows, 0) + 1
-    parts = [
-        (g if key == masks else from_masks(len(key), key), count) for key, count in groups.items()
-    ]
+    groups = Counter(rows for _, rows in _relabelled(g.adj))
+    parts = [(g if len(k) == g.n else Graph(len(k), k), count) for k, count in groups.items()]
     planar = all(is_planar(c).verdict for c, _ in parts)
     nu_g = sum(count * matching_number(c) for c, count in parts)
     maxdeg = max_degree(g)

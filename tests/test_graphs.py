@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
 from planarext import (
     Graph,
     build_graph,
+    certificate,
     complement,
+    complete,
     connected_components,
     disjoint_union,
+    face_count,
     induced_subgraph,
     is_connected,
+    is_planar,
     max_degree,
     pivotal_planar,
 )
@@ -173,6 +178,39 @@ def test_component_counts_match_components():
     # is_connected stops after its first flood; connected_components floods all
     for g in graphs:
         assert is_connected(g) == (len(connected_components(g)) <= 1)
+
+
+def test_component_queries_build_no_masks():
+    # components are flooded over the rows, so no query builds g.masks,
+    # whose rows grow with the largest label
+    rim = range(1, 2001)
+    wheel = build_graph(2001, [(0, i) for i in rim] + [(i, i % 2000 + 1) for i in rim])
+    graphs = (complete(4), pivotal_planar(5, 6), build_graph(6, [(0, 1), (2, 3)]), wheel)
+    for g in graphs + (Graph(0, ()),):
+        embedding = is_planar(g).embedding
+        for query in (
+            lambda h: certificate(h, 6, 8),
+            connected_components,
+            is_connected,
+            lambda h: face_count(h, embedding),
+        ):
+            fresh = Graph(g.n, g.adj)
+            query(fresh)
+            assert "masks" not in vars(fresh)
+
+
+def test_connected_components_memory():
+    # 42,861 vertices in 2,858 components: the flood holds one flag per
+    # vertex, where bitmask rows up to the largest label peaked at 129 MB
+    g = pivotal_planar(6, 20001)
+    tracemalloc.start()
+    try:
+        comps = connected_components(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(comps) == 2858
+    assert peak <= 400 * g.n, peak / g.n
 
 
 def test_connected_components_match_induced_subgraphs():

@@ -311,6 +311,28 @@ def test_root_line_without_the_root_itself_is_refused(tmp_path, monkeypatch, roo
     assert path.read_bytes() == journal
 
 
+def test_record_outside_the_subtree_orders_is_refused(tmp_path, monkeypatch):
+    # A7 (15 vertices, 37 edges) is a class member at mu = 7, but every
+    # record of a subtree has 6 to n_max = 8 vertices: accepted, it made
+    # verify(6, 8, 8) print realizable-only with 37, not inconclusive with 35
+    def with_a7(lines):
+        root, records = json.loads(lines[1])
+        records["7"] = [37, "N|fIJCoEG@`b?o?Y_Pw"]
+        line = json.dumps([root, records], separators=(",", ":"), sort_keys=True)
+        return [lines[0], line + "\n"] + lines[2:]
+
+    path = _golden_journal_with(tmp_path, with_a7)
+    journal = path.read_bytes()
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    with pytest.raises(ValueError) as refused:
+        component_table(6, 8, checkpoint=str(path))
+    assert str(refused.value) == (
+        f"checkpoint {path} line 2: root 060896 has a record with "
+        "fewer than its 6 or more than 8 vertices"
+    )
+    assert path.read_bytes() == journal
+
+
 def _mutant(rng, lines):
     """The lines with one random flip, deletion, insertion or truncation below the header."""
     body = "".join(lines[1:])

@@ -23,7 +23,7 @@ from planarext import (
     serialize,
     star,
 )
-from planarext.graphs import _component_masks, from_masks
+from planarext.graphs import Graph, _relabelled
 
 from oracles import (
     reference_certificate,
@@ -255,11 +255,11 @@ def test_certificate_certifies_each_distinct_component_once(monkeypatch):
 def test_certificate_takes_a_connected_graph_as_its_own_part(monkeypatch):
     built, certified = [], []
 
-    def counted(n, masks):
+    def counted(n, adj):
         built.append(n)
-        return from_masks(n, masks)
+        return Graph(n, adj)
 
-    monkeypatch.setattr(serialize, "from_masks", counted)
+    monkeypatch.setattr(serialize, "Graph", counted)
     monkeypatch.setattr(serialize, "is_planar", lambda g: certified.append(g) or is_planar(g))
     for g in (atlas("A7"), complete(5), build_graph(2, [(0, 1)]), build_graph(1, [])):
         certified.clear()
@@ -277,9 +277,10 @@ def test_certificate_floods_a_connected_graph_once(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return _component_masks(*args)
+        return _relabelled(*args)
 
-    monkeypatch.setattr("planarext.graphs._component_masks", counted)
+    for module in ("graphs", "planarity", "serialize"):
+        monkeypatch.setattr(f"planarext.{module}._relabelled", counted)
     for g in (atlas("A7"), pivotal_planar(6, 5), build_graph(2, [(0, 1)])):
         calls.clear()
         assert certificate(g, 6, 8).planar

@@ -164,4 +164,4 @@ def canonical_form_masks(
 
 def canonical_form(g: Graph, colors: Sequence[int] | None = None) -> bytes:
     """Canonical byte string; equal iff isomorphic (color-respecting)."""
-    return canonical_form_masks(g.n, g.masks, colors)
+    return canonical_form_masks(g.n, [sum(1 << w for w in row) for row in g.adj], colors)

@@ -62,17 +62,6 @@ class Graph:
         return sum(len(row) for row in self.adj) // 2
 
     @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Adjacency rows as bitmasks; masks[v] bit w set iff v~w."""
-        out = []
-        for row in self.adj:
-            m = 0
-            for w in row:
-                m |= 1 << w
-            out.append(m)
-        return tuple(out)
-
-    @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(row) for row in self.adj)
 
@@ -153,9 +142,9 @@ def disjoint_union(*graphs: Graph) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    masks = [full & ~(g.masks[v] | (1 << v)) for v in range(g.n)]
-    return from_masks(g.n, masks)
+    everyone = set(range(g.n))
+    rows = (sorted(everyone.difference(row, (v,))) for v, row in enumerate(g.adj))
+    return Graph(g.n, tuple(map(tuple, rows)))
 
 
 def max_degree(g: Graph) -> int:

@@ -299,18 +299,25 @@ class _LRTest:
         return tuple(rotation)
 
 
-def _decide(n: int, masks: Sequence[int]) -> bool:
-    """Planarity verdict only, no certificates, from adjacency bitmasks.
+def _few_branch_vertices(degs: list[int]) -> bool:
+    """Kuratowski's degree count: a subdivision of K3,3 needs 6 branch
+    vertices of degree >= 3 and one of K5 needs 5 of degree >= 4, so with
+    fewer of either the graph is planar."""
+    return sum(d >= 3 for d in degs) < 6 and sum(d >= 4 for d in degs) < 5
 
-    masks[v] has bit w set iff v~w; only the first n entries are read.
-    A subdivision of K3,3 needs 6 branch vertices of degree >= 3 and one
-    of K5 needs 5 of degree >= 4, so with fewer of either the graph is
-    planar by Kuratowski's theorem; the LR test decides everything else.
-    """
+
+def _planar_rows(rows: Sequence[Sequence[int]]) -> bool:
+    """Planarity verdict only, no certificates, from adjacency rows: the
+    degree count, and the LR test for everything it leaves open."""
+    return _few_branch_vertices(list(map(len, rows))) or _LRTest(len(rows), rows).test()
+
+
+def _decide(n: int, masks: Sequence[int]) -> bool:
+    """_planar_rows's verdict from adjacency bitmasks: masks[v] has bit w
+    set iff v~w, and only the first n entries are read. Degrees come from
+    bit counts, so rows are built only when the degree count leaves it open."""
     degs = [masks[v].bit_count() for v in range(n)]
-    if sum(d >= 3 for d in degs) < 6 and sum(d >= 4 for d in degs) < 5:
-        return True
-    return _LRTest(n, [bits(masks[v]) for v in range(n)]).test()
+    return _few_branch_vertices(degs) or _LRTest(n, [bits(masks[v]) for v in range(n)]).test()
 
 
 def _minimize_witness(g: Graph) -> tuple[tuple[int, int], ...]:
@@ -323,17 +330,16 @@ def _minimize_witness(g: Graph) -> tuple[tuple[int, int], ...]:
     twice as long; a run that would restore planarity is halved. So the
     pass keeps exactly the edges an edge-by-edge pass keeps.
     """
-    masks = g.masks
     edges = g.edges()
     kept = []
     i, run = 0, 1
     while i < len(edges):
-        trial = list(masks)
-        for u, v in edges[i : i + run]:
-            trial[u] ^= 1 << v
-            trial[v] ^= 1 << u
-        if not _decide(g.n, trial):
-            masks = trial
+        # at edge i the graph is kept + edges[i:]; try it without edges[i : i + run]
+        rows: list[list[int]] = [[] for _ in range(g.n)]
+        for u, v in (*kept, *edges[i + run :]):
+            rows[u].append(v)
+            rows[v].append(u)
+        if not _planar_rows(rows):
             i += run
             run *= 2
         elif run > 1:
@@ -446,5 +452,4 @@ def is_outerplanar(g: Graph) -> bool:
 
     Equivalent formulation used here: g plus a universal apex is planar.
     """
-    apex = 1 << g.n
-    return _decide(g.n + 1, [m | apex for m in g.masks] + [apex - 1])
+    return _planar_rows([row + (g.n,) for row in g.adj] + [range(g.n)])

@@ -35,10 +35,6 @@ class RealizeResult:
     graph: Graph | None
 
 
-class _Deadline(Exception):
-    pass
-
-
 def _residual_feasible(rem: list[int]) -> bool:
     """Erdős–Gallai over the remaining demands, in linear time after the sort.
 
@@ -68,23 +64,27 @@ def _group_selections(groups: list[list[int]], need: int) -> Iterator[list[int]]
 
     They come in the lexicographic order of the per-group counts. Deep in
     a search there are hundreds of groups and a node often recurses into
-    its first selection, so the selections are not listed up front.
+    its first selection, so the selections are not listed up front. Each
+    step grows the last count that can grow while the counts after it
+    give one up, and refills those from the right: the smallest tail.
     """
-    # room[j]: how many vertices groups[j:] hold
-    room = list(accumulate(map(len, reversed(groups)), initial=0))[::-1]
-
-    def pick(i: int, left: int) -> Iterator[list[int]]:
-        if left == 0:
-            yield []
+    counts = [0] * len(groups)
+    p, left = -1, need
+    while True:
+        for j in range(len(groups) - 1, p, -1):
+            counts[j] = min(left, len(groups[j]))
+            left -= counts[j]
+        if left:  # more than all the groups hold
             return
-        # a later first nonempty take sorts first: it keeps more counts at 0
-        for j in range(len(groups) - 1, i - 1, -1):
-            for take in range(1, min(left, len(groups[j])) + 1):
-                if room[j + 1] >= left - take:
-                    for rest in pick(j + 1, left - take):
-                        yield groups[j][:take] + rest
-
-    return pick(0, need)
+        yield [v for j, c in enumerate(counts) if c for v in groups[j][:c]]
+        for p in range(len(groups) - 1, -1, -1):
+            if left and counts[p] < len(groups[p]):
+                break
+            left += counts[p]
+        else:
+            return
+        counts[p] += 1
+        left -= 1
 
 
 def realize_degree_sequence_planar(seq: Sequence[int], budget: float = 30.0) -> RealizeResult:
@@ -111,45 +111,46 @@ def realize_degree_sequence_planar(seq: Sequence[int], budget: float = 30.0) -> 
     if not _residual_feasible(rem):
         return RealizeResult("exhausted", None)
 
-    def search() -> Graph | None:
+    # one frame per saturated pivot: [pivot, need, selections, chosen],
+    # chosen being the selection last applied at that pivot
+    stack: list[list] = []
+    descend = True
+    while True:
         if time.monotonic() > deadline:
-            raise _Deadline
-        pivot = max(range(n), key=lambda v: rem[v])
-        need = rem[pivot]
-        if need == 0:
-            g = from_masks(n, masks)
-            if not is_planar(g).verdict:
-                raise AssertionError("realized graph is not planar")
-            return g
-        # the pivot's neighbors are earlier pivots, whose demand is 0
-        cands = [u for u in range(n) if u != pivot and rem[u] > 0]
-        grouped: dict[tuple[int, int], list[int]] = {}
-        for u in cands:
-            grouped.setdefault((rem[u], masks[u]), []).append(u)
-        groups = [sorted(members) for _, members in sorted(grouped.items())]
-        for chosen in _group_selections(groups, need):
-            if time.monotonic() > deadline:
-                raise _Deadline
-            for u in chosen:
-                masks[pivot] |= 1 << u
-                masks[u] |= 1 << pivot
-                rem[u] -= 1
-            rem[pivot] = 0
-            if _residual_feasible(rem) and _decide(n, masks):
-                result = search()
-                if result is not None:
-                    return result
+            return RealizeResult("timed-out", None)
+        if descend:
+            pivot = max(range(n), key=lambda v: rem[v])
+            need = rem[pivot]
+            if need == 0:
+                g = from_masks(n, masks)
+                if not is_planar(g).verdict:
+                    raise AssertionError("realized graph is not planar")
+                return RealizeResult("found", g)
+            # the pivot's neighbors are earlier pivots, whose demand is 0
+            grouped: dict[tuple[int, int], list[int]] = {}
+            for u in range(n):
+                if u != pivot and rem[u] > 0:
+                    grouped.setdefault((rem[u], masks[u]), []).append(u)
+            groups = [grouped[key] for key in sorted(grouped)]
+            stack.append([pivot, need, _group_selections(groups, need), None])
+        pivot, need, selections, chosen = frame = stack[-1]
+        if chosen is not None:
+            # it failed here or in the frames above it: take it back
             rem[pivot] = need
             for u in chosen:
                 masks[pivot] &= ~(1 << u)
                 masks[u] &= ~(1 << pivot)
                 rem[u] += 1
-        return None
-
-    try:
-        found = search()
-    except _Deadline:
-        return RealizeResult("timed-out", None)
-    if found is None:
-        return RealizeResult("exhausted", None)
-    return RealizeResult("found", found)
+        frame[3] = chosen = next(selections, None)
+        if chosen is None:
+            stack.pop()
+            if not stack:
+                return RealizeResult("exhausted", None)
+            descend = False
+            continue
+        for u in chosen:
+            masks[pivot] |= 1 << u
+            masks[u] |= 1 << pivot
+            rem[u] -= 1
+        rem[pivot] = 0
+        descend = _residual_feasible(rem) and _decide(n, masks)

@@ -86,6 +86,11 @@ def reference_bits(mask: int) -> list[int]:
     return out
 
 
+def masks_of(g: Graph) -> list[int]:
+    """Adjacency rows of g as bitmasks: masks[v] has bit w set iff v~w."""
+    return [sum(1 << w for w in row) for row in g.adj]
+
+
 def reference_graph_check(n: int, adj) -> None:
     """The Graph constructor's checks as two passes, with the same messages.
 
@@ -893,7 +898,7 @@ def reference_embedding(g: Graph):
 
 def reference_minimize_witness(g: Graph) -> tuple[tuple[int, int], ...]:
     """One-pass edge-minimal non-planar subgraph, decided by reference_decide."""
-    masks = list(g.masks)
+    masks = masks_of(g)
     kept = []
     for u, v in g.edges():
         masks[u] ^= 1 << v

@@ -13,6 +13,7 @@ from planarext.graphs import from_masks
 from oracles import (
     all_labeled_graphs,
     brute_automorphism_count,
+    masks_of,
     min_perm_form,
     pair_group_class_count,
 )
@@ -123,12 +124,12 @@ def test_canonical_forms_pinned():
     digest = hashlib.sha256()
     count = 0
     for g in enumerate_connected(7, 5, planar_only=True):
-        digest.update(canonical_form_masks(g.n, g.masks))
+        digest.update(canonical_form_masks(g.n, masks_of(g)))
         count += 1
         if g.n == 6:
             for v in range(g.n):
                 marked = [1 if u == v else 0 for u in range(g.n)]
-                digest.update(canonical_form_masks(g.n, g.masks, marked))
+                digest.update(canonical_form_masks(g.n, masks_of(g), marked))
     assert count == 695
     assert digest.hexdigest() == (
         "0dfb02a92c3e255391395063a7bdb855f79ea7321c8a21b099302a56430d5c4d"

@@ -105,7 +105,6 @@ def test_graph_rejects_malformed_rows_naming_the_first_fault():
             Graph(n, adj)
         assert str(err.value) == message
     g = Graph(3, ((1, 2), (0,), (0,)))
-    assert g.masks == (0b110, 0b001, 0b001)
     assert g == build_graph(3, [(0, 1), (0, 2)]) and repr(g) == "Graph(n=3, m=2)"
 
 
@@ -181,8 +180,8 @@ def test_component_counts_match_components():
 
 
 def test_component_queries_build_no_masks():
-    # components are flooded over the rows, so no query builds g.masks,
-    # whose rows grow with the largest label
+    # components are flooded over the rows; a Graph keeps no bitmask copy
+    # of them, whose rows would grow with the largest label
     rim = range(1, 2001)
     wheel = build_graph(2001, [(0, i) for i in rim] + [(i, i % 2000 + 1) for i in rim])
     graphs = (complete(4), pivotal_planar(5, 6), build_graph(6, [(0, 1), (2, 3)]), wheel)
@@ -194,9 +193,7 @@ def test_component_queries_build_no_masks():
             is_connected,
             lambda h: face_count(h, embedding),
         ):
-            fresh = Graph(g.n, g.adj)
-            query(fresh)
-            assert "masks" not in vars(fresh)
+            query(Graph(g.n, g.adj))
 
 
 def test_connected_components_memory():

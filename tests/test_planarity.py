@@ -33,11 +33,12 @@ from planarext import (
     star,
 )
 from planarext.graphs import disjoint_union, from_masks
-from planarext.planarity import _decide
+from planarext.planarity import _decide, _planar_rows
 
 from oracles import (
     all_labeled_graphs,
     brute_is_planar,
+    masks_of,
     reference_classify_kuratowski,
     reference_decide,
     reference_embedding,
@@ -105,7 +106,8 @@ def test_decide_on_disconnected_and_subdivided_input():
         (disjoint_union(atlas("K5_MINUS"), complete(4)), True),
     ]
     for g, planar in cases:
-        assert _decide(g.n, g.masks) == planar, g
+        assert _decide(g.n, masks_of(g)) == planar, g
+        assert _planar_rows(g.adj) == planar, g
         assert is_planar(g).verdict == planar, g
     for n in range(5):
         assert all(_decide(n, masks) for masks in all_labeled_graphs(n))
@@ -174,7 +176,8 @@ def test_lr_kernel_matches_reference(monkeypatch):
         embedding = reference_embedding(g)
         result = is_planar(g)
         assert result.embedding == embedding, g.adj
-        assert _decide(g.n, g.masks) == reference_decide(g.n, g.masks)
+        planar = reference_decide(g.n, masks_of(g))
+        assert _decide(g.n, masks_of(g)) == planar and _planar_rows(g.adj) == planar
         if not result.verdict:
             # is_planar's witness is the output of _minimize_witness
             assert result.witness == reference_minimize_witness(g), g.adj
@@ -183,15 +186,16 @@ def test_lr_kernel_matches_reference(monkeypatch):
 
 
 def _counted_decide(monkeypatch):
-    """Route planarity._decide through a counter; returns the count so far."""
+    """Route planarity._planar_rows, the witness pass's decision, through a
+    counter; returns the count so far."""
     calls = [0]
-    decide = planarity._decide
+    decide = planarity._planar_rows
 
-    def counted(n, masks):
+    def counted(rows):
         calls[0] += 1
-        return decide(n, masks)
+        return decide(rows)
 
-    monkeypatch.setattr(planarity, "_decide", counted)
+    monkeypatch.setattr(planarity, "_planar_rows", counted)
     return lambda: calls[0]
 
 
@@ -213,12 +217,24 @@ def test_witness_of_a_small_core_in_a_large_graph(monkeypatch):
 def test_witness_pass_cost_on_small_graphs(monkeypatch):
     # the 221 non-planar connected graphs on at most 7 vertices: runs
     # must not cost much more than the 3,076 calls of an edge-by-edge pass
-    graphs = [g for g in enumerate_connected(7, 6) if not _decide(g.n, g.masks)]
+    graphs = [g for g in enumerate_connected(7, 6) if not _planar_rows(g.adj)]
     assert len(graphs) == 221
     calls = _counted_decide(monkeypatch)
     for g in graphs:
         planarity._minimize_witness(g)
     assert calls() <= 3845
+
+
+def test_witness_in_a_large_wheel_pinned():
+    # W_2000 with a K3,3 joined to its rim by one edge; computed while the
+    # witness pass still decided on bitmask copies of the rows
+    k = 2000
+    k33 = [(k + 1 + i, k + 4 + j) for i in range(3) for j in range(3)]
+    witness = is_planar(build_graph(k + 7, _wheel(k).edges() + ((1, k + 1),) + tuple(k33))).witness
+    assert classify_kuratowski(witness) == "K33"
+    assert hashlib.sha256(repr(witness).encode("ascii")).hexdigest() == (
+        "0c6fe4a3eb831ab77b6bf153103b2718484d1c09ce720b7ccff7803e89482fd5"
+    )
 
 
 def test_pivotal_embeddings_pinned():
@@ -254,7 +270,7 @@ def test_results_on_small_connected_graphs_pinned():
 def test_graphs_on_at_most_two_vertices(g):
     # the LR test embeds each one as its own adjacency rows
     assert is_planar(g) == PlanarityResult(True, g.adj, None)
-    assert _decide(g.n, g.masks)
+    assert _decide(g.n, masks_of(g))
 
 
 def test_kuratowski_witnesses_classified():
@@ -411,12 +427,10 @@ def test_face_count_refuses_a_one_sided_rotation_system():
 
 def test_is_planar_builds_no_masks():
     # the Euler check takes its component count from the LR search's
-    # roots, so a planar verdict floods nothing and leaves g.masks unbuilt
+    # roots, so a planar verdict floods nothing
     graphs = (complete(4), pivotal_planar(5, 6), build_graph(6, [(0, 1), (2, 3)]), _wheel(2000))
     for g in graphs + (Graph(0, ()),):
-        fresh = Graph(g.n, g.adj)
-        assert is_planar(fresh).verdict
-        assert "masks" not in vars(fresh)
+        assert is_planar(Graph(g.n, g.adj)).verdict
 
 
 def test_outerplanarity():
@@ -428,6 +442,16 @@ def test_outerplanarity():
     k23 = build_graph(5, [(i, j) for i in range(2) for j in range(2, 5)])
     assert not is_outerplanar(k23)
     assert is_planar(k23).verdict
+
+
+def test_outerplanarity_matches_an_apex_reference():
+    # g is outerplanar iff g plus a universal apex is planar
+    graphs = list(enumerate_connected(7, 6))
+    assert len(graphs) == 996
+    for g in graphs:
+        apex = 1 << g.n
+        masks = [m | apex for m in masks_of(g)] + [apex - 1]
+        assert is_outerplanar(g) == reference_decide(g.n + 1, masks), g.adj
 
 
 def test_large_planar_unions():

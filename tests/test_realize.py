@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from planarext import graph6_encode, is_planar, realize, realize_degree_sequence_planar
-from planarext.realize import _group_selections, _residual_feasible
+from planarext.realize import RealizeResult, _group_selections, _residual_feasible
 
 from oracles import reference_group_selections, reference_residual_feasible
 
@@ -88,7 +88,7 @@ def test_timeout_is_a_result(monkeypatch):
     for budget in (float("nan"), -1.0, float("-inf")):
         with pytest.raises(ValueError, match="budget"):
             realize_degree_sequence_planar([5] * 10 + [4], budget=budget)
-    # a clock that lapses after the root's own check, before its first selection
+    # a clock that lapses after the root's own check, before the next one
     readings = iter([0.0, 0.0])
     monkeypatch.setattr(realize, "time", SimpleNamespace(monotonic=lambda: next(readings, 2.0)))
     assert realize_degree_sequence_planar([4] * 6, budget=1.0).status == "timed-out"
@@ -158,3 +158,15 @@ def test_first_selection_comes_without_listing_the_rest():
     # 2,000 singleton groups hold about 6.6e11 ways to take four
     groups = [[v] for v in range(2000)]
     assert next(_group_selections(groups, 4)) == [1996, 1997, 1998, 1999]
+
+
+def test_deep_searches_run_without_recursion():
+    # each saturated pivot was one call of a recursive search, and each
+    # group of a selection one nested generator: the 2,000 pivots of 1^4000
+    # and a first selection over 1,500 groups passed the recursion limit
+    _check_found(realize_degree_sequence_planar([1] * 4000, budget=math.inf), [1] * 4000)
+    assert isinstance(realize_degree_sequence_planar([2] * 1800, budget=1.0), RealizeResult)
+    # a threshold sequence: degrees 1..1501 and 751 again
+    threshold = list(range(1, 1502)) + [751]
+    assert isinstance(realize_degree_sequence_planar(threshold, budget=1.0), RealizeResult)
+    assert len(next(_group_selections([[v] for v in range(2000)], 1500))) == 1500

@@ -1,4 +1,4 @@
-"""Maximum matching via blossom contraction, plus factor-criticality.
+"""Maximum matching via blossom contraction; factor-criticality from one search.
 
 The search grows an alternating BFS tree from each exposed vertex. Odd
 cycles found along the way are contracted by linking the cycle's
@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,22 @@ def _mate_array(g: Graph, seed: list[int] | None = None) -> list[int]:
     if -1 not in [match[v] for v in roots]:
         return match
 
-    # search state, kept between searches: each search records the vertices
-    # it touches and resets only those. A contracted blossom's vertices are
-    # linked in the union-find up, whose roots are the blossom bases
-    up = list(range(n))
-    p = [-1] * n
+    search = _searcher(adj, match)[0]
+    for v in roots:
+        if match[v] == -1:
+            search(v)
+    return match
+
+
+def _searcher(adj, match: list[int]):
+    """search(root), which augments match from the exposed root if it can,
+    and p: its labels, reset when the next search starts, so v ≠ root is even
+    iff p[match[v]] != -1 after a failed search too. A contracted blossom's
+    vertices are linked in the union-find up, whose roots are the blossom bases.
+    """
+    up = list(range(len(adj)))
+    p = [-1] * len(adj)
+    touched: list[int] = []
 
     def base(v: int) -> int:
         while up[v] != v:
@@ -110,7 +121,11 @@ def _mate_array(g: Graph, seed: list[int] | None = None) -> list[int]:
                 q.append(child)
             v = p[child]
 
-    def find_augmenting_path(root: int, touched: list[int]) -> bool:
+    def search(root: int) -> bool:
+        for i in touched:
+            p[i] = -1
+            up[i] = i
+        touched[:] = [root]
         q = deque([root])
         while q:
             v = q.popleft()
@@ -139,14 +154,7 @@ def _mate_array(g: Graph, seed: list[int] | None = None) -> list[int]:
                     q.append(match[to])
         return False
 
-    for v in roots:
-        if match[v] == -1:
-            touched = [v]
-            find_augmenting_path(v, touched)
-            for i in touched:
-                p[i] = -1
-                up[i] = i
-    return match
+    return search, p
 
 
 def maximum_matching(g: Graph) -> Matching:
@@ -170,11 +178,14 @@ def has_perfect_matching(g: Graph) -> bool:
 def is_factor_critical(g: Graph) -> bool:
     """True when deleting any single vertex leaves a perfectly matchable graph.
 
-    The one-vertex graph is factor-critical; no even-order graph is.
+    By Gallai's lemma, iff g is connected and each vertex is missed by some
+    maximum matching: one misses exactly one vertex r, and the failed search
+    from r, which stays in r's component, labels every vertex even.
     """
-    if g.n == 0 or g.n % 2 == 0:
+    match = _mate_array(g)
+    exposed = [v for v in range(g.n) if match[v] == -1]
+    if len(exposed) != 1:
         return False
-    return all(
-        has_perfect_matching(induced_subgraph(g, [u for u in range(g.n) if u != v]))
-        for v in range(g.n)
-    )
+    search, p = _searcher(g.adj, match)
+    search(exposed[0])
+    return all(v == exposed[0] or p[match[v]] != -1 for v in range(g.n))

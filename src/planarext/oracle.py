@@ -292,8 +292,9 @@ def component_table(
     The (d-1)-star record is injected analytically when its d vertices
     exceed n_max, so star-built families stay verifiable at small n_max.
     An n_max beyond the enumeration budget raises BudgetExceededError
-    before any work starts. With n_max <= 6 there are no subtree roots,
-    so `checkpoint` is neither read nor written.
+    before any work starts. `checkpoint` is neither read nor written when
+    n_max <= 6, which has no subtree roots, nor when this process has
+    already computed the table, which then comes from its cache.
     """
     if d < 2:
         raise ValueError("d must be at least 2")

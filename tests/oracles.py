@@ -23,6 +23,8 @@ witnesses, and it is the only fast planarity reference beyond n <= 7.
 
 The other references are the package's earlier code: the mate array
 contracts each blossom by rescanning every vertex its search touched;
+factor-criticality deletes each vertex in turn and asks the rest for a
+perfect matching;
 the Vizing coloring restarts its scan of u's row at every fan step; the
 face count walks a dict over all darts with a seen set; the Erdős–Gallai
 residual check is quadratic and the group selections of realize an
@@ -44,6 +46,7 @@ canonical_form_masks for the marked forms of the designated-vertex rule
 and the forms of the child generator; canonical_form in the Kuratowski
 classifier; connected_components in the face count; is_planar,
 matching_number, graph6_encode and max_edges_planar in the certificate;
+induced_subgraph and has_perfect_matching in factor-criticality;
 max_edges_planar, max_edges_general, build_graph, disjoint_union,
 complete, k_prime, star and atlas in the extremal families; build_graph
 in the graph6 decoder and the Kuratowski classifier; max_degree and
@@ -64,8 +67,14 @@ from planarext.bounds import max_edges_general, max_edges_planar
 from planarext.canon import canonical_form, canonical_form_masks
 from planarext.constructions import AtlasName, atlas, complete, k_prime, star
 from planarext.enumeration import enumerate_connected
-from planarext.graphs import build_graph, connected_components, disjoint_union, max_degree
-from planarext.matching import matching_number
+from planarext.graphs import (
+    build_graph,
+    connected_components,
+    disjoint_union,
+    induced_subgraph,
+    max_degree,
+)
+from planarext.matching import has_perfect_matching, matching_number
 from planarext.oracle import (
     ComponentRecord,
     FalsificationError,
@@ -236,6 +245,19 @@ def reference_mate_array(g: Graph, seed: list[int] | None = None) -> list[int]:
                 base[i] = i
                 used[i] = False
     return match
+
+
+def reference_is_factor_critical(g: Graph) -> bool:
+    """True when deleting any single vertex leaves a perfectly matchable graph.
+
+    The one-vertex graph is factor-critical; no even-order graph is.
+    """
+    if g.n == 0 or g.n % 2 == 0:
+        return False
+    return all(
+        has_perfect_matching(induced_subgraph(g, [u for u in range(g.n) if u != v]))
+        for v in range(g.n)
+    )
 
 
 def reference_vizing_color(g: Graph) -> EdgeColoring:

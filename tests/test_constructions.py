@@ -20,6 +20,7 @@ from planarext import (
     pivotal_planar,
     star,
 )
+from planarext.canon import canonical_form
 from planarext.constructions import _general_recipe, _planar_recipe
 
 from oracles import reference_extremal_general, reference_pivotal_planar
@@ -111,6 +112,23 @@ def test_pivotal_component_structure():
     comps = [c for c, _ in connected_components(g)]
     assert [c.n for c in comps] == [5, 5, 5]
     assert [c.m for c in comps] == [9, 9, 4]
+
+
+def test_extremal_components_are_stars_or_factor_critical():
+    # the paper's structure: each component of an edge-extremal graph is a
+    # star K_{1,k} (k >= 0) or factor-critical, as the oracle's caps assume
+    parts = set()
+    for d in range(2, 11):
+        for nu in range(2, 41):
+            for g in (pivotal_planar(d, nu), extremal_general(d, nu)):
+                parts.update(c for c, _ in connected_components(g))
+    forms = {}
+    for c in parts:
+        forms.setdefault(canonical_form(c), c)
+    assert len(forms) == 20
+    for c in forms.values():
+        star_shaped = c.m == c.n - 1 and max(c.degrees) == c.n - 1
+        assert star_shaped or is_factor_critical(c), c.edges()
 
 
 def test_pivotal_edge_cases():

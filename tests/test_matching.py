@@ -12,16 +12,22 @@ from planarext import (
     extremal_general,
     has_perfect_matching,
     is_factor_critical,
+    matching,
     matching_number,
     maximum_matching,
     pivotal_planar,
     star,
 )
 from planarext.enumeration import enumerate_connected
-from planarext.graphs import disjoint_union, from_masks, induced_subgraph
+from planarext.graphs import Graph, disjoint_union, from_masks, induced_subgraph
 from planarext.matching import _mate_array
 
-from oracles import brute_matching_number, reference_mate_array
+from oracles import (
+    all_labeled_graphs,
+    brute_matching_number,
+    reference_is_factor_critical,
+    reference_mate_array,
+)
 
 
 def _random_graph(rng: random.Random, n: int, max_edges: int):
@@ -113,6 +119,47 @@ def test_factor_critical():
     assert not is_factor_critical(c4)
     for name in ("K5_MINUS", "A4", "A5", "A6", "A7"):
         assert is_factor_critical(atlas(name))
+
+
+def test_factor_critical_matches_reference_on_labelled_graphs():
+    # every labelled graph with at most six vertices. A version that searched
+    # from one of several exposed vertices would read p[match[v]] as p[-1] at
+    # another exposed v; the smallest graph where it answers True has six
+    found = 0
+    for n in range(7):
+        for masks in all_labeled_graphs(n):
+            g = from_masks(n, masks)
+            want = reference_is_factor_critical(g)
+            assert is_factor_critical(g) == want, g.edges()
+            found += want
+    assert found == 235
+
+
+def test_factor_critical_matches_reference_on_connected_graphs():
+    graphs = list(enumerate_connected(7, 6))
+    assert len(graphs) == 996
+    for g in graphs:
+        assert is_factor_critical(g) == reference_is_factor_critical(g), g.edges()
+
+
+def test_factor_critical_matches_reference_on_random_graphs():
+    # disconnected graphs included: unions of odd parts, each of which may be
+    # factor-critical, and sparse graphs with isolated vertices
+    rng = random.Random(20261021)
+    found = 0
+    for i in range(2000):
+        if i % 2:
+            g = _odd_union(rng)
+        else:
+            n = rng.randint(0, 11)
+            p = rng.random()
+            g = build_graph(
+                n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
+            )
+        want = reference_is_factor_critical(g)
+        assert is_factor_critical(g) == want, g.edges()
+        found += want
+    assert found == 435
 
 
 def test_matching_number_on_masks_path():
@@ -279,3 +326,28 @@ def test_mate_array_matches_reference_on_random_graphs():
             seed = reference_mate_array(induced_subgraph(g, range(n - 1)))
             assert _mate_size(g, _mate_array(g, seed)) == want, g.edges()
             assert _mate_size(g, reference_mate_array(g, seed)) == want, g.edges()
+
+
+def test_factor_critical_runs_one_matching_and_builds_no_graph(monkeypatch):
+    # one matching and one search from its exposed vertex, where deleting
+    # each vertex in turn builds 201 induced subgraphs and matches each
+    k = 200
+    wheel = _wheel(k)
+    pendant = build_graph(k + 3, wheel.edges() + ((1, k + 1), (k + 1, k + 2)))
+    calls = {"match": 0, "build": 0}
+    mate_array, post_init = matching._mate_array, Graph.__post_init__
+
+    def counted_mate_array(*args, **kwargs):
+        calls["match"] += 1
+        return mate_array(*args, **kwargs)
+
+    def counted_post_init(self):
+        calls["build"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(matching, "_mate_array", counted_mate_array)
+    monkeypatch.setattr(Graph, "__post_init__", counted_post_init)
+    for g, want in ((wheel, True), (pendant, False)):
+        calls.update(match=0, build=0)
+        assert is_factor_critical(g) is want
+        assert calls == {"match": 1, "build": 0}

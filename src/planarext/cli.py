@@ -4,6 +4,9 @@ Exit codes: 0 on success (including a confirmed or realizable-only
 verdict), 2 when verification disproves the closed form (the oracle
 built a better graph than the bound allows), 1 on usage or input errors
 and on requests beyond the enumeration budget.
+
+Each command imports only the modules it runs: `bound` loads
+`planarext.bounds` alone, and only `table` and `verify` load the oracle.
 """
 
 from __future__ import annotations
@@ -12,16 +15,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .bounds import max_edges_general, max_edges_outerplanar, max_edges_planar
-from .coloring import vizing_color
-from .constructions import extremal_general, pivotal_planar
-from .enumeration import BudgetExceededError
-from .graphs import Graph
-from .oracle import FalsificationError, component_table, verify_theorem
-from .realize import realize_degree_sequence_planar
-from .serialize import _G6_MAX_ORDER, certificate, dot_export, graph6_decode, graph6_encode
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,6 +38,8 @@ def _read_graph(arg: str) -> Graph:
     "-" is never graph6 (its byte is below 63), so it stands for standard
     input, which carries graphs too long for one command-line argument.
     """
+    from .serialize import graph6_decode
+
     return graph6_decode(sys.stdin.read().strip() if arg == "-" else arg)
 
 
@@ -100,6 +99,8 @@ def _build_parser() -> _Parser:
 
 
 def _parse_degree_tokens(tokens: Sequence[str]) -> list[int]:
+    from .serialize import _G6_MAX_ORDER
+
     pairs: list[tuple[int, int]] = []
     for tok in tokens:
         base, sep, count = tok.partition("^")
@@ -124,15 +125,15 @@ def _run(args: argparse.Namespace) -> int:
         raise ValueError(f"d and nu must be at least 1, got d={args.d}, nu={args.nu}")
 
     if args.command == "bound":
-        fn = {
-            "planar": max_edges_planar,
-            "general": max_edges_general,
-            "outerplanar": max_edges_outerplanar,
-        }[args.cls]
-        print(fn(args.d, args.nu))
+        from . import bounds
+
+        print(getattr(bounds, f"max_edges_{args.cls}")(args.d, args.nu))
         return 0
 
     if args.command == "construct":
+        from .constructions import extremal_general, pivotal_planar
+        from .serialize import dot_export, graph6_encode
+
         build = pivotal_planar if args.cls == "planar" else extremal_general
         g = build(args.d, args.nu)
         if args.format == "g6":
@@ -152,46 +153,58 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "check":
+        from .serialize import certificate
+
         report = certificate(_read_graph(args.g6), args.d, args.nu)
         print(report.to_json())
         return 0
 
-    if args.command == "table":
-        records = component_table(args.d, args.n_max)
-        payload = [
-            {
-                "mu": rec.mu,
-                "best_edges": rec.best_edges,
-                "exhaustive": rec.exhaustive,
-                "witness_g6": graph6_encode(rec.witness),
-            }
-            for rec in records
-        ]
-        print(json.dumps(payload, indent=2))
-        return 0
+    if args.command in ("table", "verify"):
+        from .enumeration import BudgetExceededError
+        from .oracle import FalsificationError, component_table, verify_theorem
+        from .serialize import graph6_encode
 
-    if args.command == "verify":
-        verdict = verify_theorem(
-            args.d,
-            args.nu,
-            args.n_max,
-            workers=args.workers,
-            checkpoint=args.checkpoint,
-        )
-        payload = {
-            "d": args.d,
-            "nu": args.nu,
-            "n_max": args.n_max,
-            "status": verdict.status,
-            "oracle_value": verdict.oracle_value,
-            "formula_value": verdict.formula_value,
-        }
+        # no other command can raise these two
+        try:
+            if args.command == "table":
+                payload = [
+                    {
+                        "mu": rec.mu,
+                        "best_edges": rec.best_edges,
+                        "exhaustive": rec.exhaustive,
+                        "witness_g6": graph6_encode(rec.witness),
+                    }
+                    for rec in component_table(args.d, args.n_max)
+                ]
+            else:
+                verdict = verify_theorem(
+                    args.d,
+                    args.nu,
+                    args.n_max,
+                    workers=args.workers,
+                    checkpoint=args.checkpoint,
+                )
+                payload = {
+                    "d": args.d,
+                    "nu": args.nu,
+                    "n_max": args.n_max,
+                    "status": verdict.status,
+                    "oracle_value": verdict.oracle_value,
+                    "formula_value": verdict.formula_value,
+                }
+        except FalsificationError as exc:
+            print(f"planarext: FALSIFIED: {exc}", file=sys.stderr)
+            return 2
+        except BudgetExceededError as exc:
+            print(f"planarext: error: {exc}", file=sys.stderr)
+            return 1
         print(json.dumps(payload, indent=2))
         return 0
 
     if args.command == "color":
-        g = _read_graph(args.g6)
-        coloring = vizing_color(g)
+        from .coloring import vizing_color
+
+        coloring = vizing_color(_read_graph(args.g6))
         payload = {
             "palette_size": coloring.palette_size,
             "edges": [
@@ -201,6 +214,9 @@ def _run(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, indent=2))
         return 0
+
+    from .realize import realize_degree_sequence_planar
+    from .serialize import graph6_encode
 
     degrees = _parse_degree_tokens(args.degrees)
     result = realize_degree_sequence_planar(degrees, budget=args.timeout)
@@ -218,14 +234,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except FalsificationError as exc:
-        print(f"planarext: FALSIFIED: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # the reader left: the exit-time flush of stdout goes nowhere too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, OSError, BudgetExceededError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"planarext: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -279,7 +279,7 @@ def _save_checkpoint(
         os.fsync(fh.fileno())
 
 
-_TABLE_CACHE: dict[tuple[int, int], tuple[ComponentRecord, ...]] = {}
+_TABLE_CACHE: dict[tuple[int, int, str | None], tuple[ComponentRecord, ...]] = {}
 
 
 def component_table(
@@ -294,7 +294,9 @@ def component_table(
     An n_max beyond the enumeration budget raises BudgetExceededError
     before any work starts. `checkpoint` is neither read nor written when
     n_max <= 6, which has no subtree roots, nor when this process has
-    already computed the table, which then comes from its cache.
+    already computed the table with the same checkpoint, which then comes
+    from its cache. A table cached under another checkpoint, or under
+    none, is not served: the call reads or writes its own journal.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -306,7 +308,7 @@ def component_table(
         # the injected star K_{1,d-1} has d vertices, too many for graph6
         raise ValueError(f"at most {_G6_MAX_ORDER} vertices, the star witness has {d}")
     _check_budget(n_max)
-    key = (d, n_max)
+    key = (d, n_max, checkpoint)
     if key in _TABLE_CACHE:
         return list(_TABLE_CACHE[key])
     deg_max = d - 1

@@ -13,7 +13,6 @@ import pytest
 import planarext
 from planarext import (
     atlas,
-    cli,
     constructions,
     graph6_decode,
     graph6_encode,
@@ -111,7 +110,7 @@ def test_verify_falsification_exit_code(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise FalsificationError(5, 3, 99, 9)
 
-    monkeypatch.setattr("planarext.cli.verify_theorem", explode)
+    monkeypatch.setattr("planarext.oracle.verify_theorem", explode)
     code, out, err = run(capsys, "verify", "--d", "5", "--nu", "3", "--n-max", "7")
     assert code == 2
     assert "FALSIFIED" in err
@@ -225,7 +224,7 @@ def test_realize_refuses_more_degrees_than_graph6_prints(monkeypatch, capsys):
     def no_search(*args, **kwargs):
         raise AssertionError("the search started")
 
-    monkeypatch.setattr(cli, "realize_degree_sequence_planar", no_search)
+    monkeypatch.setattr("planarext.realize.realize_degree_sequence_planar", no_search)
     # the last one would not fit in memory if it were expanded
     for argv, total in (
         (["realize", "5^300000"], "300000"),
@@ -433,3 +432,53 @@ def test_out_of_memory_exits_one_with_one_line():
     )
     assert (proc.returncode, proc.stdout) == (1, b"")
     assert proc.stderr.decode().splitlines() == ["planarext: error: out of memory"]
+
+
+# run one command in a fresh interpreter; print its exit code and the modules it loaded
+_FOOTPRINT = """
+import contextlib, io, sys
+from planarext import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("planarext")))
+"""
+
+
+def _footprint(*argv: str) -> tuple[int, set[str]]:
+    src = str(Path(planarext.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    code, *loaded = proc.stdout.split()
+    return int(code), set(loaded)
+
+
+def test_bound_loads_the_bounds_alone():
+    assert _footprint("bound", "6", "8") == (0, {"planarext", "planarext.cli", "planarext.bounds"})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "6", "8"),
+        ("construct", "3", "5", "--class", "general", "--format", "dot"),
+        ("check", "D]w", "--d", "4", "--nu", "3"),
+        ("color", "D]w"),
+        ("realize", "3^4"),
+    ],
+)
+def test_commands_off_the_verify_route_load_no_enumeration(argv):
+    code, loaded = _footprint(*argv)
+    assert code == 0 and "planarext.serialize" in loaded
+    assert not loaded & {"planarext.oracle", "planarext.enumeration", "planarext.canon"}
+
+
+@pytest.mark.parametrize(
+    "argv", [("table", "--d", "4", "--n-max", "5"), ("verify", "--d", "4", "--nu", "3", "--n-max", "5")]
+)
+def test_verify_route_loads_neither_coloring_nor_realize(argv):
+    code, loaded = _footprint(*argv)
+    assert code == 0 and "planarext.oracle" in loaded
+    assert not loaded & {"planarext.coloring", "planarext.realize"}

@@ -161,7 +161,7 @@ def test_component_cap_shape():
 def test_falsification_aborts_verify(monkeypatch):
     # a poisoned record better than anything planar must abort loudly
     fake = ComponentRecord(mu=1, best_edges=99, witness=star(4), exhaustive=True)
-    monkeypatch.setattr(oracle, "_TABLE_CACHE", {(17, 3): (fake,)})
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {(17, 3, None): (fake,)})
     with pytest.raises(FalsificationError) as info:
         verify_theorem(17, 2, 3)
     assert info.value.oracle_value == 99
@@ -212,6 +212,29 @@ def test_checkpoint_torn_last_line_is_recomputed(tmp_path, monkeypatch):
         monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
         assert _rows(component_table(4, 7, checkpoint=str(path))) == _rows(serial)
         assert path.read_bytes() == journal
+
+
+def test_cached_table_does_not_skip_a_refused_journal(tmp_path, monkeypatch):
+    path = tmp_path / "check.txt"
+    path.write_bytes(b"not a journal\n")
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    component_table(6, 7)
+    with pytest.raises(ValueError, match="is not a journal for d=6, n_max=7"):
+        verify_theorem(6, 3, 7, checkpoint=str(path))
+    assert path.read_bytes() == b"not a journal\n"
+
+
+def test_cached_table_does_not_skip_a_requested_journal(tmp_path, monkeypatch):
+    cold, warm = tmp_path / "cold.txt", tmp_path / "warm.txt"
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    verify_theorem(6, 3, 7, checkpoint=str(cold))
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    component_table(6, 7)
+    assert verify_theorem(6, 3, 7, checkpoint=str(warm)).status == "confirmed"
+    assert warm.read_bytes() == cold.read_bytes() != b""
+    # the same checkpoint again is served from the cache
+    warm.write_bytes(b"not a journal\n")
+    assert verify_theorem(6, 3, 7, checkpoint=str(warm)).status == "confirmed"
 
 
 def test_checkpoint_parameter_mismatch(tmp_path, monkeypatch):
@@ -482,7 +505,7 @@ def test_second_verify_reads_the_cached_table(tmp_path, monkeypatch, journal):
         raise AssertionError("enumerated again")
 
     monkeypatch.setattr(oracle, "_levels", no_enumeration)
-    assert verify_theorem(6, 9, 8, **kwargs) == reference_verify_theorem(6, 9, 8)
+    assert verify_theorem(6, 9, 8, **kwargs) == reference_verify_theorem(6, 9, 8, **kwargs)
     assert verify_theorem(6, 4, 8, **kwargs) == first
 
 

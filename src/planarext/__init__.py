@@ -21,22 +21,68 @@ __version__ = "0.1.0"
 
 # home module -> the public names it holds
 _NAMES = {
-    "bounds": "max_edges_general max_edges_outerplanar max_edges_planar",
-    "canon": "canonical_form",
-    "coloring": "EdgeColoring InstanceTooLargeError PartitionBound chromatic_index_exact "
-    "partition_bound_check vizing_color",
-    "constructions": "AtlasName atlas complete extremal_general k_prime pivotal_planar star",
-    "enumeration": "BudgetExceededError enumerate_connected",
-    "graphs": "Graph build_graph complement connected_components disjoint_union "
-    "induced_subgraph is_connected max_degree",
-    "matching": "Matching has_perfect_matching is_factor_critical matching_number "
-    "maximum_matching",
-    "oracle": "ComponentRecord FalsificationError Verdict combine component_table verify_theorem",
-    "planarity": "PlanarityResult classify_kuratowski face_count is_outerplanar is_planar",
-    "realize": "RealizeResult realize_degree_sequence_planar",
-    "serialize": "CertificateReport certificate dot_export graph6_decode graph6_encode",
+    "bounds": ("max_edges_general", "max_edges_outerplanar", "max_edges_planar"),
+    "canon": ("canonical_form",),
+    "coloring": (
+        "EdgeColoring",
+        "InstanceTooLargeError",
+        "PartitionBound",
+        "chromatic_index_exact",
+        "partition_bound_check",
+        "vizing_color",
+    ),
+    "constructions": (
+        "AtlasName",
+        "atlas",
+        "complete",
+        "extremal_general",
+        "k_prime",
+        "pivotal_planar",
+        "star",
+    ),
+    "enumeration": ("BudgetExceededError", "enumerate_connected"),
+    "graphs": (
+        "Graph",
+        "build_graph",
+        "complement",
+        "connected_components",
+        "disjoint_union",
+        "induced_subgraph",
+        "is_connected",
+        "max_degree",
+    ),
+    "matching": (
+        "Matching",
+        "has_perfect_matching",
+        "is_factor_critical",
+        "matching_number",
+        "maximum_matching",
+    ),
+    "oracle": (
+        "ComponentRecord",
+        "FalsificationError",
+        "Verdict",
+        "combine",
+        "component_table",
+        "verify_theorem",
+    ),
+    "planarity": (
+        "PlanarityResult",
+        "classify_kuratowski",
+        "face_count",
+        "is_outerplanar",
+        "is_planar",
+    ),
+    "realize": ("RealizeResult", "realize_degree_sequence_planar"),
+    "serialize": (
+        "CertificateReport",
+        "certificate",
+        "dot_export",
+        "graph6_decode",
+        "graph6_encode",
+    ),
 }
-_HOME = {name: home for home, names in _NAMES.items() for name in names.split()}
+_HOME = {name: home for home, names in _NAMES.items() for name in names}
 
 __all__ = sorted(_HOME)
 

@@ -125,9 +125,14 @@ def _run(args: argparse.Namespace) -> int:
         raise ValueError(f"d and nu must be at least 1, got d={args.d}, nu={args.nu}")
 
     if args.command == "bound":
-        from . import bounds
+        from .bounds import max_edges_general, max_edges_outerplanar, max_edges_planar
 
-        print(getattr(bounds, f"max_edges_{args.cls}")(args.d, args.nu))
+        fn = {
+            "planar": max_edges_planar,
+            "general": max_edges_general,
+            "outerplanar": max_edges_outerplanar,
+        }[args.cls]
+        print(fn(args.d, args.nu))
         return 0
 
     if args.command == "construct":
@@ -204,7 +209,8 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "color":
         from .coloring import vizing_color
 
-        coloring = vizing_color(_read_graph(args.g6))
+        g = _read_graph(args.g6)
+        coloring = vizing_color(g)
         payload = {
             "palette_size": coloring.palette_size,
             "edges": [

@@ -295,8 +295,9 @@ def component_table(
     before any work starts. `checkpoint` is neither read nor written when
     n_max <= 6, which has no subtree roots, nor when this process has
     already computed the table with the same checkpoint, which then comes
-    from its cache. A table cached under another checkpoint, or under
-    none, is not served: the call reads or writes its own journal.
+    from its cache. A call without a checkpoint takes the table cached
+    under any checkpoint; a call that names one not yet used for this
+    table computes it and reads or writes its own journal.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -309,8 +310,12 @@ def component_table(
         raise ValueError(f"at most {_G6_MAX_ORDER} vertices, the star witness has {d}")
     _check_budget(n_max)
     key = (d, n_max, checkpoint)
-    if key in _TABLE_CACHE:
-        return list(_TABLE_CACHE[key])
+    cached = _TABLE_CACHE.get(key)
+    if cached is None and checkpoint is None:
+        # a call that asks for no journal may take a table computed under any
+        cached = next((t for k, t in _TABLE_CACHE.items() if k[:2] == key[:2]), None)
+    if cached is not None:
+        return list(cached)
     deg_max = d - 1
     best: _Best = {}
     shard_order = min(_SHARD_ORDER, n_max)

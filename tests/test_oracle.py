@@ -505,7 +505,7 @@ def test_second_verify_reads_the_cached_table(tmp_path, monkeypatch, journal):
         raise AssertionError("enumerated again")
 
     monkeypatch.setattr(oracle, "_levels", no_enumeration)
-    assert verify_theorem(6, 9, 8, **kwargs) == reference_verify_theorem(6, 9, 8, **kwargs)
+    assert verify_theorem(6, 9, 8, **kwargs) == reference_verify_theorem(6, 9, 8)
     assert verify_theorem(6, 4, 8, **kwargs) == first
 
 

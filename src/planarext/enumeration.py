@@ -9,12 +9,17 @@ valid designated deletion, yields exactly one representative per
 isomorphism class. Accepted children of one parent are isomorphic iff
 their neighbour subsets share an Aut(parent) orbit, so one canonical
 search per parent, for its automorphism generators, drops the duplicates;
-the first accepted subset of each orbit is kept. Children carry no form:
-_levels computes one per graph for its sort, and keeps the generators
-that the same search found for the graph's own children; the oracle
-computes forms only for its final ties. Planarity prunes hereditarily:
-the edge-count bound rejects during extension and the exact test runs on
-the distinct accepted children.
+the first accepted subset of each orbit is kept. Children carry no form.
+
+Two drivers expand the generation tree. _walk, the oracle's, runs it
+depth-first: a graph, then its whole subtree, in pre-order. It searches
+a child once, for the generators of the child's own children, and only
+when it will have some, so it computes no form. _levels, which only
+enumerate_connected reads, runs it breadth-first: one search per graph
+gives the form that sorts its order and the generators for its
+children; the last order makes none and keeps no generators. Planarity
+prunes hereditarily: the edge-count bound rejects during extension and
+the exact test runs on the distinct accepted children.
 
 The acceptance test of a child reads a record of its parent P, built once
 per parent: P's degrees, the components of P - v for each cut vertex v of
@@ -252,7 +257,24 @@ def _children(
     return out
 
 
-_Level = list[tuple[tuple[int, ...], bytes, list[list[int]]]]
+def _walk(
+    masks: tuple[int, ...], gens: list[list[int]], n_max: int, deg_max: int
+) -> Iterator[tuple[int, ...]]:
+    """The planar graph masks, then its subtree up to n_max vertices, in pre-order.
+
+    gens generate Aut(masks). A child's one canonical search, for the
+    generators its own children need, runs only when it is below n_max.
+    Pre-order makes a graph's parent the last graph yielded with one
+    vertex fewer.
+    """
+    yield masks
+    if (n := len(masks)) < n_max:
+        for child in _children(n, masks, gens, deg_max, True):
+            child_gens = _canonical_search(n + 1, child)[1] if n + 1 < n_max else []
+            yield from _walk(child, child_gens, n_max, deg_max)
+
+
+_Level = list[tuple[tuple[int, ...], bytes, list[list[int]] | None]]
 
 
 def _levels(n_max: int, deg_max: int, planar_only: bool) -> Iterator[_Level]:
@@ -260,16 +282,18 @@ def _levels(n_max: int, deg_max: int, planar_only: bool) -> Iterator[_Level]:
 
     The one canonical search per graph gives both its form and the
     generators of its automorphism group, which _children of that graph
-    needs: the next level, or an oracle subtree rooted at it, reuses them.
+    needs. When n_max > 1, the last level's graphs make no children and
+    keep None in place of generators.
     """
     level: _Level = [((0,), *_canonical_search(1, (0,)))]
     yield level
-    for _ in range(n_max - 1):
+    for order in range(2, n_max + 1):
         level = sorted(
             (
-                (child, *_canonical_search(len(child), child))
-                for masks, _form, gens in level
-                for child in _children(len(masks), masks, gens, deg_max, planar_only)
+                (child, form, gens if order < n_max else None)
+                for masks, _form, parent_gens in level
+                for child in _children(order - 1, masks, parent_gens, deg_max, planar_only)
+                for form, gens in [_canonical_search(order, child)]
             ),
             key=lambda item: item[1],
         )

@@ -24,11 +24,12 @@ Each mu keeps one witness, by the tie rule: most edges, then fewest
 vertices, then the smallest canonical form. Only the graphs tied on
 edges and vertices are kept, and their forms are compared once the ties
 are final: once per subtree, then once for the table. Every graph comes
-with its mu. A subtree seeds each child's maximum matching from its
-parent's, so one search from the new vertex settles it; a graph below
-the shard order gets the full matching; subtree and journal records
-arrive under their mu. The final re-check of each record, and the
-journal loader, still run the full matching.
+with its mu. The table's head and each subtree fold one depth-first
+walk of the generation tree, which seeds every graph's maximum matching
+from its parent's, so one search from the new vertex settles it; only
+K1 and each subtree root get the full matching. Subtree and journal
+records arrive under their mu. The final re-check of each record, and
+the journal loader, still run the full matching.
 
 Subtrees of the generation tree are independent, so roots at a fixed
 order are sharded across workers and merged by the same tie rule, making
@@ -46,11 +47,12 @@ import json
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import Iterable
 
 from .bounds import max_edges_planar
 from .canon import _canonical_search, canonical_form
 from .constructions import star
-from .enumeration import _check_budget, _children, _Level, _levels
+from .enumeration import _check_budget, _walk
 from .graphs import Graph, bits, from_masks, is_connected, max_degree
 from .matching import _mate_array, matching_number
 from .planarity import is_planar
@@ -118,34 +120,34 @@ def _settle(best: _Best) -> dict[int, Graph]:
     }
 
 
+def _fold(best: _Best, walk: Iterable[tuple[int, ...]]) -> None:
+    """File every graph of walk in best, under its matching number.
+
+    walk is pre-order, so a graph's parent is the last graph walked with
+    one vertex fewer, and the parent's maximum matching seeds the graph's.
+    The first graph walked has no parent there and gets the full matching.
+    """
+    mates: dict[int, list[int]] = {}
+    for masks in walk:
+        n = len(masks)
+        g = from_masks(n, masks)
+        match = mates[n] = _mate_array(g, mates.get(n - 1))
+        _offer(best, g, (n - match.count(-1)) // 2)
+
+
 def _subtree_worker(
     args: tuple[tuple[int, ...], int, int, list[list[int]]],
 ) -> dict[int, Graph]:
     """Best witness per mu over one generation subtree (root included).
 
     args are the root's masks, n_max, deg_max and the generators of
-    Aut(root) from the search that gave the root its form. Each node's
-    maximum matching stays on the stack and seeds its children's, and a
-    node below the root gets its one canonical search, for the generators
-    its children need, only when it has children to make.
+    Aut(root) from the search that gave the root its form. The subtree is
+    one fold over the walk from the root: the root gets the full
+    matching, every graph below it one seeded by its parent's.
     """
     root, n_max, deg_max, gens = args
     best: _Best = {}
-    g = from_masks(len(root), root)
-    match = _mate_array(g)
-    _offer(best, g, (g.n - match.count(-1)) // 2)
-    stack = [(root, gens, match)]
-    while stack:
-        masks, gens, match = stack.pop()
-        n = len(masks)
-        if gens is None:
-            gens = _canonical_search(n, masks)[1]
-        for child in _children(n, masks, gens, deg_max, True):
-            g = from_masks(n + 1, child)
-            child_match = _mate_array(g, match)
-            _offer(best, g, (n + 1 - child_match.count(-1)) // 2)
-            if n + 1 < n_max:
-                stack.append((child, None, child_match))
+    _fold(best, _walk(root, gens, n_max, deg_max))
     return _settle(best)
 
 
@@ -287,6 +289,9 @@ def component_table(
 ) -> list[ComponentRecord]:
     """Best connected planar component with Δ < d per matching number.
 
+    The head folds the walk from K1 below order 6, and the order-6 graphs
+    of that walk, sorted by canonical form, are the roots of the subtrees
+    that _subtree_worker folds; a table with n_max <= 6 is all head.
     Records carry the exhaustive flag (2 mu + 1 <= n_max): whether every
     candidate component order for that matching number was enumerated.
     The (d-1)-star record is injected analytically when its d vertices
@@ -318,24 +323,22 @@ def component_table(
         return list(cached)
     deg_max = d - 1
     best: _Best = {}
-    shard_order = min(_SHARD_ORDER, n_max)
-    roots: _Level = []
-    for order, level in enumerate(_levels(shard_order, deg_max, True), start=1):
-        if n_max > shard_order and order == shard_order:
-            roots = level
-        else:
-            for masks, _form, _gens in level:
-                g = from_masks(len(masks), masks)
-                _offer(best, g, matching_number(g))
+    # the walk from K1 to the shard order: its graphs of that order are the
+    # subtree roots, unless the table ends there
+    head = list(_walk((0,), [], min(_SHARD_ORDER, n_max), deg_max))
+    shard = _SHARD_ORDER if n_max > _SHARD_ORDER else n_max + 1
+    _fold(best, [m for m in head if len(m) < shard])
+    # one search per root gives its name and the generators its subtree needs
+    roots = sorted((*_canonical_search(shard, m), m) for m in head if len(m) == shard)
     if roots:
-        by_name = {form.hex(): masks for masks, form, _gens in roots}
+        by_name = {form.hex(): masks for form, _gens, masks in roots}
         names = list(by_name)
         done = _load_checkpoint(checkpoint, d, n_max, by_name) if checkpoint else {}
         for records in done.values():
             for mu, g in records.items():
                 _offer(best, g, mu)
         todo = [i for i, name in enumerate(names) if name not in done]
-        jobs = [(roots[i][0], n_max, deg_max, roots[i][2]) for i in todo]
+        jobs = [(roots[i][2], n_max, deg_max, roots[i][1]) for i in todo]
         pool = nullcontext()
         if workers > 1 and len(jobs) > 1:
             # imported here so that importing the package stays cheap

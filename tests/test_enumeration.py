@@ -159,11 +159,49 @@ def test_children_match_form_dedup_reference(n_max, deg_max, planar_only):
     for level in enumeration._levels(n_max, deg_max, planar_only):
         for masks, _form, gens in level:
             n = len(masks)
+            if gens is None:
+                # the last level keeps no generators: it makes no children
+                gens = enumeration._canonical_search(n, masks)[1]
             got = enumeration._children(n, masks, gens, deg_max, planar_only)
             forms = [canonical_form_masks(n + 1, child) for child in got]
             assert len(set(forms)) == len(forms), masks
             expected = reference_children(n, masks, deg_max, planar_only)
             assert sorted(zip(forms, got)) == [(f, c) for c, f in expected], masks
+
+
+def _assert_pre_order(walk: list[tuple[int, ...]]) -> None:
+    # each graph after the first, less its last vertex, is the last graph
+    # yielded with one vertex fewer: the oracle seeds matchings from it
+    last = {len(walk[0]): walk[0]}
+    for masks in walk[1:]:
+        n = len(masks)
+        assert tuple(m & ~(1 << (n - 1)) for m in masks[:-1]) == last[n - 1], masks
+        last[n] = masks
+
+
+@pytest.mark.parametrize("n_max,deg_max", [(7, 5), (8, 3)])
+def test_walks_yield_each_level_graph_once(n_max, deg_max):
+    levels = list(enumeration._levels(n_max, deg_max, True))
+
+    def by_order(walked, orders):
+        return [sorted(masks for masks in walked if len(masks) == n) for n in orders]
+
+    def listed(orders):
+        return [sorted(masks for masks, _form, _gens in levels[n - 1]) for n in orders]
+
+    # K1 has no generators to give
+    from_k1 = list(enumeration._walk((0,), [], n_max, deg_max))
+    _assert_pre_order(from_k1)
+    assert by_order(from_k1, range(1, n_max + 1)) == listed(range(1, n_max + 1))
+    # the walks from the order-4 graphs cover orders 5..n_max between them
+    below = []
+    for masks, _form, gens in levels[3]:
+        walk = list(enumeration._walk(masks, gens, n_max, deg_max))
+        assert walk[0] == masks
+        _assert_pre_order(walk)
+        below += walk[1:]
+    assert len(below) == sum(map(len, levels[4:]))
+    assert by_order(below, range(5, n_max + 1)) == listed(range(5, n_max + 1))
 
 
 def test_degree_cap_one():

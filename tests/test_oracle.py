@@ -476,7 +476,7 @@ def test_table_over_budget_fails_before_any_work(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(oracle, "_levels", no_enumeration)
+    monkeypatch.setattr(oracle, "_walk", no_enumeration)
     for call in (
         lambda: component_table(6, 11),
         lambda: component_table(6, 11, workers=2),
@@ -504,7 +504,7 @@ def test_second_verify_reads_the_cached_table(tmp_path, monkeypatch, journal):
     def no_enumeration(*args):
         raise AssertionError("enumerated again")
 
-    monkeypatch.setattr(oracle, "_levels", no_enumeration)
+    monkeypatch.setattr(oracle, "_walk", no_enumeration)
     assert verify_theorem(6, 9, 8, **kwargs) == reference_verify_theorem(6, 9, 8)
     assert verify_theorem(6, 4, 8, **kwargs) == first
 
@@ -543,10 +543,10 @@ def _count_calls(monkeypatch, counts: Counter, fn, key) -> None:
 
 
 def test_component_table_work_counts(monkeypatch):
-    # one canonical search per level graph (its form and generators), per
-    # parent below the roots, per marked form and per settled tie; a full
-    # matching only for the 30 graphs below the shard order, the 99 roots
-    # and the 4 final checks, every other graph seeded from its parent's
+    # one canonical search per parent but K1 (for its generators; a root's
+    # also gives its form), per marked form and per settled tie; a full
+    # matching only for K1, the 99 roots and the 4 final checks, every
+    # other graph seeded from its parent's
     from planarext import canon, enumeration, graphs, matching, planarity
 
     counts: Counter = Counter()
@@ -561,7 +561,7 @@ def test_component_table_work_counts(monkeypatch):
     monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
     component_table(6, 8)
     assert counts["search"] <= 5950
-    assert counts["full"] == 30 + 99 + 4
+    assert counts["full"] == 1 + 99 + 4
     # one matching per enumerated graph, plus the final checks
     assert counts["full"] + counts["seeded"] == 5018 + 4
     assert (counts["accept"], counts["decide"], counts["from_masks"]) == (56929, 6945, 5018)

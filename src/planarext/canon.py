@@ -1,7 +1,8 @@
 """Canonical forms for small graphs by refinement plus individualization.
 
 canonical_form returns a byte string that is equal for two graphs exactly
-when they are isomorphic (respecting vertex colors when given). The search
+when they are isomorphic (respecting vertex colors when given); its first
+byte is the order, so forms sort by order first. The search
 is the classic one: iterate an equitable color refinement, individualize
 one vertex of the first non-singleton cell, recurse, and keep the minimum
 leaf encoding. Interchangeable vertices (swapping them is visibly an

@@ -11,15 +11,14 @@ their neighbour subsets share an Aut(parent) orbit, so one canonical
 search per parent, for its automorphism generators, drops the duplicates;
 the first accepted subset of each orbit is kept. Children carry no form.
 
-Two drivers expand the generation tree. _walk, the oracle's, runs it
-depth-first: a graph, then its whole subtree, in pre-order. It searches
-a child once, for the generators of the child's own children, and only
-when it will have some, so it computes no form. _levels, which only
-enumerate_connected reads, runs it breadth-first: one search per graph
-gives the form that sorts its order and the generators for its
-children; the last order makes none and keeps no generators. Planarity
-prunes hereditarily: the edge-count bound rejects during extension and
-the exact test runs on the distinct accepted children.
+One driver expands the generation tree: _walk runs it depth-first, a
+graph, then its whole subtree, in pre-order. It searches a child once,
+for the generators of the child's own children, and only when it will
+have some, so it computes no form. enumerate_connected groups the walk
+from K1 by order and sorts each order by canonical form, so it yields
+nothing until the walk has ended. Planarity, when asked for, prunes
+hereditarily: the edge-count bound rejects during extension and the
+exact test runs on the distinct accepted children.
 
 The acceptance test of a child reads a record of its parent P, built once
 per parent: P's degrees, the components of P - v for each cut vertex v of
@@ -49,7 +48,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .canon import _canonical_search, _swap_equivalent, canonical_form_masks
 from .graphs import Graph, bits, from_masks
@@ -258,46 +257,39 @@ def _children(
 
 
 def _walk(
-    masks: tuple[int, ...], gens: list[list[int]], n_max: int, deg_max: int
+    masks: tuple[int, ...], gens: list[list[int]], n_max: int, deg_max: int, planar_only: bool
 ) -> Iterator[tuple[int, ...]]:
-    """The planar graph masks, then its subtree up to n_max vertices, in pre-order.
+    """The graph masks, then its subtree up to n_max vertices, in pre-order.
 
-    gens generate Aut(masks). A child's one canonical search, for the
+    gens generate Aut(masks). The subtree holds the connected graphs of
+    maximum degree <= deg_max that descend from masks, planar ones only
+    when planar_only is set. A child's one canonical search, for the
     generators its own children need, runs only when it is below n_max.
     Pre-order makes a graph's parent the last graph yielded with one
     vertex fewer.
     """
     yield masks
     if (n := len(masks)) < n_max:
-        for child in _children(n, masks, gens, deg_max, True):
+        for child in _children(n, masks, gens, deg_max, planar_only):
             child_gens = _canonical_search(n + 1, child)[1] if n + 1 < n_max else []
-            yield from _walk(child, child_gens, n_max, deg_max)
+            yield from _walk(child, child_gens, n_max, deg_max, planar_only)
 
 
-_Level = list[tuple[tuple[int, ...], bytes, list[list[int]] | None]]
+def _levels(
+    n_max: int, deg_max: int, planar_only: bool
+) -> Iterator[list[tuple[int, ...]]]:
+    """Each order's graphs from the walk from K1, as masks sorted by canonical form.
 
-
-def _levels(n_max: int, deg_max: int, planar_only: bool) -> Iterator[_Level]:
-    """Each order's graphs as (masks, canonical form, generators), sorted by form.
-
-    The one canonical search per graph gives both its form and the
-    generators of its automorphism group, which _children of that graph
-    needs. When n_max > 1, the last level's graphs make no children and
-    keep None in place of generators.
+    An order is complete only once the walk has ended, so the first list
+    comes after the whole walk. An order without graphs yields no list.
     """
-    level: _Level = [((0,), *_canonical_search(1, (0,)))]
-    yield level
-    for order in range(2, n_max + 1):
-        level = sorted(
-            (
-                (child, form, gens if order < n_max else None)
-                for masks, _form, parent_gens in level
-                for child in _children(order - 1, masks, parent_gens, deg_max, planar_only)
-                for form, gens in [_canonical_search(order, child)]
-            ),
-            key=lambda item: item[1],
-        )
-        yield level
+    # the first byte of a form is the order, so one sort groups the orders
+    ordered = sorted(
+        _walk((0,), [], n_max, deg_max, planar_only),
+        key=lambda masks: canonical_form_masks(len(masks), masks),
+    )
+    for _order, level in groupby(ordered, key=len):
+        yield list(level)
 
 
 def enumerate_connected(
@@ -307,7 +299,9 @@ def enumerate_connected(
 
     Covers all orders 1..n_max with maximum degree <= deg_max, restricted
     to planar graphs when planar_only is set. Deterministic order: by
-    order, then by canonical form.
+    order, then by canonical form. Eager: the first graph comes only once
+    the whole walk has ended. The argument and budget checks raise on the
+    first next().
     """
     if deg_max < 1:
         raise ValueError("deg_max must be at least 1")
@@ -315,5 +309,5 @@ def enumerate_connected(
         raise ValueError("n_max must be at least 1")
     _check_budget(n_max)
     for level in _levels(n_max, deg_max, planar_only):
-        for masks, _form, _gens in level:
+        for masks in level:
             yield from_masks(len(masks), masks)

@@ -147,7 +147,7 @@ def _subtree_worker(
     """
     root, n_max, deg_max, gens = args
     best: _Best = {}
-    _fold(best, _walk(root, gens, n_max, deg_max))
+    _fold(best, _walk(root, gens, n_max, deg_max, True))
     return _settle(best)
 
 
@@ -302,7 +302,8 @@ def component_table(
     already computed the table with the same checkpoint, which then comes
     from its cache. A call without a checkpoint takes the table cached
     under any checkpoint; a call that names one not yet used for this
-    table computes it and reads or writes its own journal.
+    table computes it and reads or writes its own journal. An empty
+    checkpoint names no file and raises ValueError.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -310,6 +311,8 @@ def component_table(
         raise ValueError("n_max must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if checkpoint == "":
+        raise ValueError("checkpoint path must not be empty")
     if d > _G6_MAX_ORDER:
         # the injected star K_{1,d-1} has d vertices, too many for graph6
         raise ValueError(f"at most {_G6_MAX_ORDER} vertices, the star witness has {d}")
@@ -325,7 +328,7 @@ def component_table(
     best: _Best = {}
     # the walk from K1 to the shard order: its graphs of that order are the
     # subtree roots, unless the table ends there
-    head = list(_walk((0,), [], min(_SHARD_ORDER, n_max), deg_max))
+    head = list(_walk((0,), [], min(_SHARD_ORDER, n_max), deg_max, True))
     shard = _SHARD_ORDER if n_max > _SHARD_ORDER else n_max + 1
     _fold(best, [m for m in head if len(m) < shard])
     # one search per root gives its name and the generators its subtree needs

@@ -276,6 +276,14 @@ def test_checkpoint_of_a_run_without_subtree_roots_is_never_opened(tmp_path, mon
     assert junk.read_bytes() == b"not a journal\n"
 
 
+def test_empty_checkpoint_path_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--d", "5", "--nu", "3", "--n-max", "7", "--checkpoint", ""]
+    err = "planarext: error: checkpoint path must not be empty\n"
+    assert run(capsys, *argv) == (1, "", err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def _resume_after_edit(tmp_path, monkeypatch, capsys, edit):
     # write a d = 4 checkpoint, let edit() change its journal lines, resume
     path = tmp_path / "check.txt"

@@ -462,6 +462,21 @@ def test_rejects_nonsensical_sizes():
         verify_theorem(6, 3, 0)
 
 
+def test_rejects_an_empty_checkpoint_path(tmp_path, monkeypatch):
+    # "" names no file, so no run may take it for a journal, nor skip the
+    # check by taking the table from the cache
+    monkeypatch.chdir(tmp_path)
+    component_table(5, 7)
+    for call in (
+        lambda: component_table(5, 7, checkpoint=""),
+        lambda: component_table(5, 5, checkpoint=""),
+        lambda: verify_theorem(5, 3, 7, checkpoint=""),
+    ):
+        with pytest.raises(ValueError, match="^checkpoint path must not be empty$"):
+            call()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_rejects_nu_out_of_range_before_the_table(monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("the table was built")

@@ -57,7 +57,7 @@ from .planarity import _decide
 _BUDGET_N_MAX = 10
 
 
-class BudgetExceededError(RuntimeError):
+class BudgetExceededError(ValueError):
     """Raised when an enumeration request exceeds the desk-scale budget."""
 
 

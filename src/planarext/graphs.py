@@ -157,6 +157,8 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     index = {v: i for i, v in enumerate(vertices)}
     if len(index) != len(vertices):
         raise ValueError("duplicate vertex in selection")
+    if outside := [v for v in vertices if not 0 <= v < g.n]:
+        raise ValueError(f"vertex {outside[0]} out of range for n={g.n}")
     adj = tuple(tuple(sorted(index[w] for w in g.adj[v] if w in index)) for v in vertices)
     return Graph(len(vertices), adj)
 

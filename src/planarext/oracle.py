@@ -47,6 +47,7 @@ import json
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .bounds import max_edges_planar
@@ -93,6 +94,7 @@ class FalsificationError(RuntimeError):
 
 
 _Best = dict[int, list[Graph]]  # mu -> the graphs tied for most edges, then fewest vertices
+_Job = tuple[tuple[int, ...], int, int, list[list[int]]]  # what _subtree_worker takes
 
 
 def _offer(best: _Best, g: Graph, mu: int) -> None:
@@ -135,9 +137,7 @@ def _fold(best: _Best, walk: Iterable[tuple[int, ...]]) -> None:
         _offer(best, g, (n - match.count(-1)) // 2)
 
 
-def _subtree_worker(
-    args: tuple[tuple[int, ...], int, int, list[list[int]]],
-) -> dict[int, Graph]:
+def _subtree_worker(args: _Job) -> dict[int, Graph]:
     """Best witness per mu over one generation subtree (root included).
 
     args are the root's masks, n_max, deg_max and the generators of
@@ -170,20 +170,26 @@ def _journal_header(d: int, n_max: int) -> bytes:
     return _journal_line({"format": 1, "d": d, "n_max": n_max})
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object] | None:
+    """A JSON object as a dict, or None if it repeats a key."""
+    obj = dict(pairs)
+    return obj if len(obj) == len(pairs) else None
+
+
 def _load_checkpoint(
-    path: str, d: int, n_max: int, roots: dict[str, tuple[int, ...]]
+    path: str, d: int, n_max: int, roots: dict[str, _Job]
 ) -> dict[str, dict[int, Graph]]:
     """The finished roots in the journal at path, in the order they were written.
 
     Journal records are read and checked here alone: an [edges, graph6]
-    pair under a decimal key mu >= 1, whose witness is a connected planar
-    graph with Δ < d, matching number mu and that many edges. roots maps
-    each root's name to its masks: a root lies in its own subtree, so its
-    line needs a record at mu(root) with at least m(root) edges, and no
-    record with fewer than n(root) or more than n_max vertices. Anything
-    else that this run did not write raises ValueError before the file
-    is touched; only then is a torn last line (no newline) cut off, so
-    that its root is recomputed.
+    pair under one key str(mu), mu >= 1, whose witness is a connected
+    planar graph with Δ < d, matching number mu and that many edges.
+    roots maps each root's name to its job: a root lies in its own
+    subtree, so its line needs a record at mu(root) with at least m(root)
+    edges, and no record with fewer than n(root) or more than n_max
+    vertices. Anything else that this run did not write raises ValueError
+    before the file is touched; only then is a torn last line (no
+    newline) cut off, so that its root is recomputed.
     """
     try:
         with open(path, "rb") as fh:
@@ -202,7 +208,7 @@ def _load_checkpoint(
     done: dict[str, dict[int, Graph]] = {}
     for number, line in enumerate(lines, start=2):
         try:
-            entry = json.loads(line)
+            entry = json.loads(line, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError):  # not JSON, or nested too deep
             entry = None
         if not (
@@ -222,8 +228,8 @@ def _load_checkpoint(
         records = done[root] = {}
         for mu_text, record in payload.items():
             if not (
-                mu_text.isascii()
-                and mu_text.isdigit()
+                mu_text.isdecimal()
+                and str(int(mu_text)) == mu_text
                 and isinstance(record, list)
                 and len(record) == 2
                 and type(record[0]) is int
@@ -245,7 +251,7 @@ def _load_checkpoint(
                     f"checkpoint record for mu={mu_text} does not match its witness"
                 )
             records[mu] = g
-        masks = roots[root]
+        masks = roots[root][0]
         g = Graph(len(masks), tuple(map(bits, masks)))  # from_masks is left to enumerated graphs
         mu = matching_number(g)
         if mu not in records or records[mu].m < g.m:
@@ -281,7 +287,8 @@ def _save_checkpoint(
         os.fsync(fh.fileno())
 
 
-_TABLE_CACHE: dict[tuple[int, int, str | None], tuple[ComponentRecord, ...]] = {}
+# (d, n_max) -> the table and the checkpoints it was computed under
+_TABLE_CACHE: dict[tuple[int, int], tuple[tuple[ComponentRecord, ...], frozenset[str]]] = {}
 
 
 def component_table(
@@ -297,13 +304,11 @@ def component_table(
     The (d-1)-star record is injected analytically when its d vertices
     exceed n_max, so star-built families stay verifiable at small n_max.
     An n_max beyond the enumeration budget raises BudgetExceededError
-    before any work starts. `checkpoint` is neither read nor written when
-    n_max <= 6, which has no subtree roots, nor when this process has
-    already computed the table with the same checkpoint, which then comes
-    from its cache. A call without a checkpoint takes the table cached
-    under any checkpoint; a call that names one not yet used for this
-    table computes it and reads or writes its own journal. An empty
-    checkpoint names no file and raises ValueError.
+    before any work starts. The process caches each table with the
+    checkpoints it was computed under: a call naming no checkpoint, or one
+    of those, takes the cached table and touches no file; any other call
+    computes the table and reads or writes its journal, unless n_max <= 6,
+    which has no subtree roots. An empty checkpoint raises ValueError.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -317,12 +322,8 @@ def component_table(
         # the injected star K_{1,d-1} has d vertices, too many for graph6
         raise ValueError(f"at most {_G6_MAX_ORDER} vertices, the star witness has {d}")
     _check_budget(n_max)
-    key = (d, n_max, checkpoint)
-    cached = _TABLE_CACHE.get(key)
-    if cached is None and checkpoint is None:
-        # a call that asks for no journal may take a table computed under any
-        cached = next((t for k, t in _TABLE_CACHE.items() if k[:2] == key[:2]), None)
-    if cached is not None:
+    cached, journaled = _TABLE_CACHE.get((d, n_max), (None, frozenset()))
+    if cached is not None and (checkpoint is None or checkpoint in journaled):
         return list(cached)
     deg_max = d - 1
     best: _Best = {}
@@ -332,30 +333,25 @@ def component_table(
     shard = _SHARD_ORDER if n_max > _SHARD_ORDER else n_max + 1
     _fold(best, [m for m in head if len(m) < shard])
     # one search per root gives its name and the generators its subtree needs
-    roots = sorted((*_canonical_search(shard, m), m) for m in head if len(m) == shard)
-    if roots:
-        by_name = {form.hex(): masks for form, _gens, masks in roots}
-        names = list(by_name)
-        done = _load_checkpoint(checkpoint, d, n_max, by_name) if checkpoint else {}
-        for records in done.values():
-            for mu, g in records.items():
-                _offer(best, g, mu)
-        todo = [i for i, name in enumerate(names) if name not in done]
-        jobs = [(roots[i][2], n_max, deg_max, roots[i][1]) for i in todo]
-        pool = nullcontext()
-        if workers > 1 and len(jobs) > 1:
-            # imported here so that importing the package stays cheap
-            from concurrent.futures import ProcessPoolExecutor
+    found = sorted((*_canonical_search(shard, m), m) for m in head if len(m) == shard)
+    roots = {form.hex(): (m, n_max, deg_max, gens) for form, gens, m in found}
+    done = _load_checkpoint(checkpoint, d, n_max, roots) if checkpoint and roots else {}
+    todo = [name for name in roots if name not in done]
+    pool = nullcontext()
+    if workers > 1 and len(todo) > 1:
+        # imported here so that importing the package stays cheap
+        from concurrent.futures import ProcessPoolExecutor
 
-            # at most one process per job: the pool may fork them all up front
-            pool = ProcessPoolExecutor(max_workers=min(workers, len(jobs)))
-        with pool as executor:
-            run = executor.map if executor else map
-            for i, result in zip(todo, run(_subtree_worker, jobs)):
-                if checkpoint:
-                    _save_checkpoint(checkpoint, d, n_max, names[i], result)
-                for mu, g in result.items():
-                    _offer(best, g, mu)
+        # at most one process per job: the pool may fork them all up front
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(todo)))
+    with pool as executor:
+        run = executor.map if executor else map
+        computed = zip(todo, run(_subtree_worker, [roots[name] for name in todo]))
+        for name, result in chain(done.items(), computed):
+            if checkpoint and name not in done:
+                _save_checkpoint(checkpoint, d, n_max, name, result)
+            for mu, g in result.items():
+                _offer(best, g, mu)
     if d > n_max:
         _offer(best, star(d - 1), 1)
     records = []
@@ -372,7 +368,9 @@ def component_table(
                 exhaustive=2 * mu + 1 <= n_max,
             )
         )
-    _TABLE_CACHE[key] = tuple(records)
+    if checkpoint:
+        journaled |= {checkpoint}
+    _TABLE_CACHE[d, n_max] = (tuple(records), journaled)
     return records
 
 

@@ -294,6 +294,9 @@ def test_every_yield_satisfies_filters():
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         list(enumerate_connected(11, 3, planar_only=True))
+    # the CLI's ordinary error path catches it: exit 1, one line
+    with pytest.raises(ValueError, match="^enumeration budget is 10 vertices, got 11$"):
+        list(enumerate_connected(11, 3, planar_only=True))
     with pytest.raises(ValueError):
         list(enumerate_connected(0, 3, planar_only=True))
     with pytest.raises(ValueError):

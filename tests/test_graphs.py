@@ -157,6 +157,13 @@ def test_induced_subgraph_relabels():
     assert h.n == 3 and h.m == 3
     with pytest.raises(ValueError):
         induced_subgraph(g, [0, 0])
+    # a negative label must not index from the end
+    with pytest.raises(ValueError, match="^vertex -1 out of range for n=3$"):
+        induced_subgraph(complete(3), [-1])
+    with pytest.raises(ValueError, match="^vertex -1 out of range for n=3$"):
+        induced_subgraph(build_graph(3, [(0, 1), (1, 2)]), [-1, 1])
+    with pytest.raises(ValueError, match="^vertex 5 out of range for n=5$"):
+        induced_subgraph(g, [0, 5])
 
 
 def test_connected_components_structure():

@@ -161,7 +161,7 @@ def test_component_cap_shape():
 def test_falsification_aborts_verify(monkeypatch):
     # a poisoned record better than anything planar must abort loudly
     fake = ComponentRecord(mu=1, best_edges=99, witness=star(4), exhaustive=True)
-    monkeypatch.setattr(oracle, "_TABLE_CACHE", {(17, 3, None): (fake,)})
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {(17, 3): ((fake,), frozenset())})
     with pytest.raises(FalsificationError) as info:
         verify_theorem(17, 2, 3)
     assert info.value.oracle_value == 99
@@ -356,6 +356,29 @@ def test_record_outside_the_subtree_orders_is_refused(tmp_path, monkeypatch):
     assert path.read_bytes() == journal
 
 
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        ('"01":[5,"Esa?"],"1":[5,"Esa?"]', "record for mu='01' is not an [edges, graph6] pair"),
+        ('"1":[5,"Esa?"],"1":[5,"Esa?"]', "line 2 does not map roots to records"),
+    ],
+    ids=["leading-zero", "repeated"],
+)
+def test_root_line_with_a_key_no_run_writes_is_refused(tmp_path, monkeypatch, record, message):
+    # accepted, either line would resume to the golden verdict as if unedited
+    def edit(lines):
+        assert lines[1].startswith('["060896",{"1":[5,"Esa?"],')
+        return [lines[0], lines[1].replace('"1":[5,"Esa?"]', record, 1)] + lines[2:]
+
+    path = _golden_journal_with(tmp_path, edit)
+    journal = path.read_bytes()
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    with pytest.raises(ValueError) as refused:
+        verify_theorem(6, 4, 8, checkpoint=str(path))
+    assert message in str(refused.value)
+    assert path.read_bytes() == journal
+
+
 def _mutant(rng, lines):
     """The lines with one random flip, deletion, insertion or truncation below the header."""
     body = "".join(lines[1:])
@@ -515,6 +538,10 @@ def test_second_verify_reads_the_cached_table(tmp_path, monkeypatch, journal):
     kwargs = {"checkpoint": str(tmp_path / "check.txt")} if journal else {}
     monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
     first = verify_theorem(6, 4, 8, **kwargs)
+    a, b, c = (tmp_path / f"{name}.txt" for name in "abc")
+    table = component_table(4, 7, checkpoint=str(a))
+    component_table(4, 7, checkpoint=str(b))
+    walk = oracle._walk
 
     def no_enumeration(*args):
         raise AssertionError("enumerated again")
@@ -522,6 +549,15 @@ def test_second_verify_reads_the_cached_table(tmp_path, monkeypatch, journal):
     monkeypatch.setattr(oracle, "_walk", no_enumeration)
     assert verify_theorem(6, 9, 8, **kwargs) == reference_verify_theorem(6, 9, 8)
     assert verify_theorem(6, 4, 8, **kwargs) == first
+    # (4, 7) was computed under a and b: a call naming no checkpoint, or
+    # a, takes the cached table and touches no file
+    a.unlink()
+    assert component_table(4, 7) == component_table(4, 7, checkpoint=str(a)) == table
+    assert not a.exists()
+    # a call naming any other checkpoint computes the table and writes c
+    monkeypatch.setattr(oracle, "_walk", walk)
+    assert component_table(4, 7, checkpoint=str(c)) == table
+    assert c.read_bytes() == b.read_bytes() != b""
 
 
 def test_table_cache_survives_caller_mutation():
